@@ -417,9 +417,9 @@ fn cache_run(
 
 /// Damages a populated cache directory in place: one random bit flip in
 /// one top-level `*.json` file and a random truncation of another (the
-/// same file when only one exists). `FORMAT`, lock files and the
-/// quarantine subdirectory are left alone, so every damaged file is one
-/// the warm run will actually read and must detect.
+/// same file when only one exists). `FORMAT`, the `*.key` pointers and
+/// the quarantine subdirectory are left alone, so every damaged file is
+/// one the warm run will actually read and must detect.
 fn corrupt_cache_dir(dir: &Path, rng: &mut progen::Rng) -> Result<(), String> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("read_dir {}: {e}", dir.display()))?

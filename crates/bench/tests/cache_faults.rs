@@ -62,8 +62,9 @@ fn compile(src: &str, dir: Option<&PathBuf>) -> SessionCompilation {
 }
 
 /// Flips one random bit in, and truncates, the top-level `*.json` files
-/// of a populated cache directory (sparing `FORMAT`, locks and the
-/// quarantine subdirectory, which a warm run does not read as entries).
+/// of a populated cache directory (sparing `FORMAT`, the `*.key`
+/// pointers and the quarantine subdirectory, which a warm run never
+/// reads).
 fn corrupt(dir: &PathBuf, rng: &mut progen::Rng) {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("cache dir")

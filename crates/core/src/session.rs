@@ -45,23 +45,29 @@
 //! pipeline is skipped entirely — zero passes execute; the program,
 //! aggregate reports and trace records are reconstructed from the cache.
 //!
+//! Each published entry is followed by a *key pointer*: a small file,
+//! named by a hash of the procedure name, holding the key just
+//! published for that name. A miss reads its pointer to tell an edited
+//! procedure (`invalidated`: the name was cached under another key)
+//! from a cold one. Pointers are accounting only — lookups never read
+//! them, and a warm run never touches them.
+//!
 //! All on-disk interaction goes through the hardened
-//! [`CacheStore`](crate::store): entries are published atomically
+//! [`CacheStore`](crate::store): every file is published atomically
 //! (temp-file, fsync, rename) inside a checksummed envelope, anything
 //! that fails the checksum or decode is quarantined and treated as a
-//! miss, replayed IL must pass the IL verifier before it is trusted,
-//! and concurrent sessions sharing one directory serialize their
-//! index/manifest updates through an advisory lock. Every degradation
-//! is counted ([`SessionStats`]) and surfaced on the `titanc: cache:`
+//! miss, and replayed IL must pass the IL verifier before it is trusted.
+//! No file is ever read, modified and written back, so concurrent
+//! sessions sharing one directory need no lock. Every degradation is
+//! counted ([`SessionStats`]) and surfaced on the `titanc: cache:`
 //! accounting line — a cache failure is never a compilation failure.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
 
 use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
-use titanc_il::json::{FromJson, Json, ToJson};
+use titanc_il::json::{FromJson, ToJson};
 use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, StructId, Type, VarInfo};
 
 use crate::pass::{
@@ -122,8 +128,9 @@ pub struct SessionStats {
     /// Corrupt files successfully moved into `quarantine/` (or
     /// deleted) so they are never re-read.
     pub quarantined: usize,
-    /// Times the advisory writer lock could not be acquired and the
-    /// index/manifest update was skipped (entries still published).
+    /// Always 0: no cache write waits on a lock. The field stays so the
+    /// `titanc: cache:` accounting line, and the tools that parse its
+    /// eight numbers, keep their shape.
     pub lock_contended: usize,
     /// Cache files that could not be published (write/rename failure);
     /// surfaced as a warning, never a compilation failure.
@@ -276,7 +283,6 @@ fn compile_session_impl(
     let mut stats = SessionStats::default();
 
     let mut store = store;
-    let index = store.as_mut().map(load_index).unwrap_or_default();
     // the session key is computed on the *parsed* program — exactly what
     // the next invocation computes before any pass runs, so the manifest
     // a run persists is the manifest its successor looks up
@@ -327,7 +333,10 @@ fn compile_session_impl(
                 replay
                     .hits
                     .insert(p.name.clone(), CachedProc::new(il, cells));
-            } else if index.get(&p.name).is_some_and(|old| *old != h.hex()) {
+            } else if st
+                .read(&pointer_name(&p.name))
+                .is_some_and(|old| old != h.hex())
+            {
                 stats.invalidated += 1;
             }
         }
@@ -646,8 +655,14 @@ fn manifest_name(key: &StableHash) -> String {
     format!("session-{}.json", key.hex())
 }
 
-/// The name → key index file (invalidation accounting only).
-const INDEX_FILE: &str = "index.json";
+/// The key pointer of procedure `name`. Named by a hash of the name, and
+/// not `*.json`: a warm run reads only `*.json` files, and format
+/// detection looks only at them.
+fn pointer_name(name: &str) -> String {
+    let mut h = StableHasher::new();
+    h.write_str(name);
+    format!("{}.key", h.finish().hex())
+}
 
 /// Surfaces the store's degradations as warnings — a format-skewed
 /// directory compiling cold, quarantined corruption, write failures.
@@ -683,7 +698,6 @@ fn store_diagnostics(store: &CacheStore, sink: &mut DiagnosticSink) {
 fn fold_store_stats(store: &CacheStore, stats: &mut SessionStats) {
     stats.corrupt = store.stats.corrupt;
     stats.quarantined = store.stats.quarantined;
-    stats.lock_contended = store.stats.lock_contended;
     stats.write_failed = store.stats.write_failed;
 }
 
@@ -775,17 +789,15 @@ fn load_full_warm(
 }
 
 /// Persists the run through the hardened store: per-procedure entries
-/// for cleanly compiled misses, the session manifest when every
-/// procedure is covered, and the name → key index that powers
-/// invalidation accounting.
+/// for cleanly compiled misses, each followed by its key pointer, then
+/// the session manifest when every procedure is covered.
 ///
-/// Entries are published first, *without* the lock — they are
-/// content-addressed and atomically renamed into place, so concurrent
-/// sessions writing the same key produce identical bytes and the last
-/// rename wins harmlessly. The manifest and index are derived files
-/// with read-modify-write semantics, so they update under the advisory
-/// writer lock; on contention they are skipped (counted, never torn).
-/// The session key was computed on the parsed program, which is exactly
+/// Nothing here needs a lock. Entries and the manifest are
+/// content-addressed, so concurrent sessions writing one name write
+/// identical bytes and the last rename wins harmlessly. A pointer is
+/// published only after its entry, so every value it can hold names a
+/// published key, and the last writer wins safely there too. The
+/// session key was computed on the parsed program, which is exactly
 /// what the next invocation hashes before running any pass.
 fn persist(
     store: &mut CacheStore,
@@ -801,11 +813,9 @@ fn persist(
         // pass that changed the procedure count leaves the keys stale
         return;
     }
-    let mut updates: BTreeMap<String, String> = BTreeMap::new();
     let mut all_cached = true;
     for (p, h) in program.procs.iter().zip(hashes) {
         if replay.replayed.contains(&p.name) {
-            updates.insert(p.name.clone(), h.hex());
             continue;
         }
         match replay.recorded.get(&p.name) {
@@ -816,7 +826,7 @@ fn persist(
                     cells: cells.clone(),
                 };
                 if store.publish(&entry_name(h), &entry.to_json().to_string_compact()) {
-                    updates.insert(p.name.clone(), h.hex());
+                    store.publish(&pointer_name(&p.name), &h.hex());
                 } else {
                     all_cached = false;
                 }
@@ -824,11 +834,6 @@ fn persist(
             _ => all_cached = false,
         }
     }
-    let Some(_lock) = store.lock() else {
-        // contended: skip the derived files rather than interleave a
-        // read-modify-write with another session (counted in stats)
-        return;
-    };
     let healthy = trace
         .records
         .iter()
@@ -858,43 +863,57 @@ fn persist(
             &manifest.to_json().to_string_compact(),
         );
     }
-    // reload-merge under the lock: another session may have extended the
-    // index since this one loaded it, and its entries must survive
-    let mut merged = load_index(store);
-    merged.extend(updates);
-    save_index(store, &merged);
 }
 
-/// The name → key index (invalidation accounting only; lookups never
-/// depend on it). Corruption quarantines the file and yields an empty
-/// map — hit/miss behavior is unaffected.
-fn load_index(store: &mut CacheStore) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    let Some(payload) = store.read(INDEX_FILE) else {
-        return map;
-    };
-    let Ok(doc) = titanc_il::json::parse(&payload) else {
-        store.quarantine(INDEX_FILE);
-        return map;
-    };
-    if let Some(Json::Obj(pairs)) = doc.get("procs") {
-        for (k, v) in pairs {
-            if let Ok(s) = v.as_str() {
-                map.insert(k.clone(), s.to_string());
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::OptReport;
+
+    const SRC: &str = "float a[64], b[64];\n\
+        void f(void) { int i; for (i = 0; i < 64; i++) a[i] = a[i] + b[i]; }\n\
+        void g(void) { int i; for (i = 0; i < 64; i++) b[i] = 2.0f * b[i]; }\n\
+        int main(void) { f(); g(); return 0; }\n";
+
+    fn il_text(sc: &SessionCompilation) -> String {
+        let procs = &sc.compilation.program.procs;
+        procs.iter().map(titanc_il::pretty_proc).collect()
     }
-    map
-}
 
-fn save_index(store: &mut CacheStore, map: &BTreeMap<String, String>) {
-    let obj = Json::obj(vec![(
-        "procs",
-        Json::Obj(
-            map.iter()
-                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                .collect(),
-        ),
-    )]);
-    store.publish(INDEX_FILE, &obj.to_string_compact());
+    fn report_json(sc: &SessionCompilation) -> String {
+        let c = &sc.compilation;
+        OptReport::build_for(&c.reports, &c.trace, &c.program.files)
+            .to_json()
+            .to_string_compact()
+    }
+
+    /// A damaged key pointer is corruption like any other cache file: it
+    /// is quarantined, the miss it was read for counts as cold rather
+    /// than invalidated, and the output matches a no-cache compile.
+    #[test]
+    fn a_damaged_pointer_is_quarantined_and_its_miss_counts_cold() {
+        let dir = std::env::temp_dir().join(format!("titanc-pointer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut options = Options::o2();
+        options.inline = false; // the edit then misses `f` alone
+        let compile = |src: &str, dir: Option<&Path>| {
+            compile_session(&[SourceFile::new("t.c", src)], &options, dir).expect("compiles")
+        };
+        compile(SRC, Some(&dir));
+
+        let pointer = dir.join(pointer_name("f"));
+        let mut bytes = std::fs::read(&pointer).expect("`f` has a key pointer");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&pointer, &bytes).unwrap();
+
+        let edited = SRC.replace("a[i] + b[i]", "a[i] - b[i]");
+        let warm = compile(&edited, Some(&dir));
+        let fresh = compile(&edited, None);
+        assert_eq!(il_text(&fresh), il_text(&warm));
+        assert_eq!(report_json(&fresh), report_json(&warm));
+        assert_eq!((warm.stats.corrupt, warm.stats.quarantined), (1, 1));
+        assert_eq!((warm.stats.misses, warm.stats.invalidated), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

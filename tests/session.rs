@@ -287,8 +287,8 @@ fn opt_report_attributes_loops_to_their_origin_file() {
 
 /// Several sessions racing into one cache directory stay byte-identical
 /// to a no-cache compile, and the directory they leave behind is a
-/// consistent, fully warm cache — the advisory writer lock keeps the
-/// derived index and manifest from tearing.
+/// consistent, fully warm cache — every file is published by atomic
+/// rename, so no interleaving can tear one.
 #[test]
 fn concurrent_sessions_share_one_directory_safely() {
     let dir = cache_dir("concurrent");
@@ -324,6 +324,77 @@ fn concurrent_sessions_share_one_directory_safely() {
     assert_eq!(warm.stats.corrupt, 0, "no corruption from the race");
     assert_eq!(il_text(&reference), il_text(&warm));
     assert_eq!(opt_report_json(&reference), opt_report_json(&warm));
+}
+
+const DISJOINT_SRC: &str = "\
+float a[64], b[64];
+void f(void)
+{
+    int i;
+    for (i = 0; i < 64; i++)
+        a[i] = a[i] + F;
+}
+void g(void)
+{
+    int i;
+    for (i = 0; i < 64; i++)
+        b[i] = b[i] * G;
+}
+int main(void)
+{
+    f();
+    g();
+    return 0;
+}
+";
+
+/// `DISJOINT_SRC` with the constants of `f` and `g` filled in.
+fn disjoint(f: &str, g: &str) -> [SourceFile; 1] {
+    [SourceFile::new(
+        "disjoint.c",
+        DISJOINT_SRC.replace('F', f).replace('G', g),
+    )]
+}
+
+/// Two sessions on one fresh directory, each editing a different
+/// procedure of the same program, publish concurrently. Neither may
+/// lose the other's record of a name: a later edit of either procedure
+/// still counts as `invalidated`, not as a cold miss.
+#[test]
+fn racing_disjoint_edits_keep_invalidation_accounting() {
+    let mut options = Options::o2();
+    options.inline = false; // each edit then misses exactly one procedure
+    for round in 0..4 {
+        let dir = cache_dir(&format!("disjoint-{round}"));
+        std::thread::scope(|scope| {
+            let (dir, options) = (&dir, &options);
+            let racers = [
+                scope.spawn(move || compile_session(&disjoint("1.5f", "2.0f"), options, Some(dir))),
+                scope.spawn(move || compile_session(&disjoint("1.0f", "2.5f"), options, Some(dir))),
+            ];
+            for racer in racers {
+                racer
+                    .join()
+                    .expect("racing session must not panic")
+                    .expect("racing compile");
+            }
+        });
+
+        for (edit, files) in [
+            ("f", disjoint("3.5f", "2.0f")),
+            ("g", disjoint("1.0f", "4.5f")),
+        ] {
+            let sc = compile_session(&files, &options, Some(&dir)).expect("edit compile");
+            assert_eq!(
+                (sc.stats.misses, sc.stats.invalidated, sc.stats.corrupt),
+                (1, 1, 0),
+                "round {round}: editing `{edit}` after the race must count it invalidated"
+            );
+            let reference = compile_session(&files, &options, None).expect("reference compile");
+            assert_eq!(il_text(&reference), il_text(&sc));
+            assert_eq!(opt_report_json(&reference), opt_report_json(&sc));
+        }
+    }
 }
 
 /// A cache directory written by a pre-v3 compiler (entries on disk, no
