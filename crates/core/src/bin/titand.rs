@@ -18,11 +18,11 @@
 //! The daemon keeps the content-addressed IL cache resident in memory:
 //! the first compile of a program pays the full pipeline, every
 //! subsequent compile of unchanged procedures is served from the
-//! in-memory map, and warm repeats skip the pipeline outright. Requests
-//! are batched across the worker pool; responses stream back as they
-//! finish, tagged by request id. Responses are byte-identical to
-//! one-shot `titanc` on the same inputs (modulo the `titanc: cache:`
-//! accounting line, which reflects cache state).
+//! in-memory map, and warm repeats skip the pipeline outright. Stdin and
+//! every socket connection feed one worker queue, so an idle client
+//! holds no worker. Replies return on each line's own connection as they
+//! finish, tagged by request id, byte-identical to one-shot `titanc`
+//! (modulo the `titanc: cache:` line, which reflects cache state).
 //!
 //! `{"shutdown": true}` stops the daemon; the acknowledgement and the
 //! final `titand: totals:` stderr line carry the aggregate accounting.

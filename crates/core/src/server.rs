@@ -1,5 +1,5 @@
 //! The compile server: the protocol, the request executor, and the
-//! long-lived serving loops behind `titand` and `titanc --server`.
+//! one serving core behind `titand` and `titanc --server`.
 //!
 //! ## Protocol
 //!
@@ -12,6 +12,10 @@
 //! have written to stdout and stderr. A line of `{"shutdown": true}`
 //! stops the server; its acknowledgement carries the aggregate
 //! [`ServerTotals`].
+//!
+//! Every connection, stdin included, feeds one worker queue; replies go
+//! back on each line's own connection in completion order, keyed by
+//! `id`. A non-UTF-8 or over-[`MAX_REQUEST_LINE`] line answers `exit: 2`.
 //!
 //! ## Byte identity
 //!
@@ -57,6 +61,10 @@ pub const EXIT_INCIDENT: u8 = 3;
 
 /// Bumped when the request/response encoding changes shape.
 pub const PROTOCOL_VERSION: i64 = 1;
+
+/// The longest request line the daemon reads, in bytes; the rest of a
+/// longer line is skipped, so no client grows the daemon without bound.
+pub const MAX_REQUEST_LINE: usize = 64 << 20;
 
 // ---------------------------------------------------------------------
 // Protocol types
@@ -563,12 +571,12 @@ pub enum Reply {
 
 /// A long-lived compile server: one shared [`ResidentCache`], a request
 /// worker pool, and aggregate accounting. Drive it with [`serve_stdio`]
-/// (newline-delimited JSON on stdin/stdout) or [`serve_unix`] (a Unix
-/// domain socket), or feed it lines directly with [`handle_line`] for
+/// (stdin/stdout) or [`serve_listener`] (a Unix socket), which share one
+/// serving core, or feed it lines directly with [`handle_line`] for
 /// in-process use (tests, benches).
 ///
 /// [`serve_stdio`]: Server::serve_stdio
-/// [`serve_unix`]: Server::serve_unix
+/// [`serve_listener`]: Server::serve_listener
 /// [`handle_line`]: Server::handle_line
 pub struct Server {
     resident: ResidentCache,
@@ -576,6 +584,12 @@ pub struct Server {
     workers: usize,
     quiet: bool,
 }
+
+/// Where the replies to one connection's lines go, shared by workers.
+type Conn = Arc<Mutex<dyn Write + Send>>;
+
+/// One queued request line and its connection; `None` stops a worker.
+type Job = Option<(Conn, Vec<u8>)>;
 
 impl Server {
     /// Builds a server over a fresh resident cache (seeded lazily from
@@ -617,10 +631,7 @@ impl Server {
     pub fn handle_line(&self, line: &str) -> Reply {
         let doc = match parse(line) {
             Ok(doc) => doc,
-            Err(e) => {
-                self.totals.lock().unwrap().protocol_errors += 1;
-                return Reply::Line(protocol_error(-1, &format!("bad request line: {e}")));
-            }
+            Err(e) => return self.reject(-1, &format!("bad request line: {e}")),
         };
         if let Some(flag) = doc.get("shutdown") {
             if flag.as_bool().unwrap_or(false) {
@@ -635,9 +646,8 @@ impl Server {
         let req = match CompileRequest::from_json(&doc) {
             Ok(req) => req,
             Err(e) => {
-                self.totals.lock().unwrap().protocol_errors += 1;
                 let id = doc.get("id").and_then(|v| v.as_i64().ok()).unwrap_or(-1);
-                return Reply::Line(protocol_error(id, &format!("bad request: {e}")));
+                return self.reject(id, &format!("bad request: {e}"));
             }
         };
         let done = execute(&req, &self.resident);
@@ -671,155 +681,143 @@ impl Server {
         Reply::Line(done.response.to_json().to_string_compact())
     }
 
-    /// Serves newline-delimited JSON on stdin/stdout: requests are
-    /// batched across the worker pool and responses stream back as they
-    /// finish (tagged by id — completion order is not request order).
-    /// EOF on stdin is a graceful shutdown, as is a `{"shutdown":true}`
-    /// line (acknowledged before the loop stops accepting).
+    /// Counts a protocol error and renders its `exit: 2` response.
+    fn reject(&self, id: i64, message: &str) -> Reply {
+        self.totals.lock().unwrap().protocol_errors += 1;
+        let response = CompileResponse {
+            id,
+            exit: 2,
+            stdout: String::new(),
+            stderr: format!("titanc: server: {message}\n"),
+        };
+        Reply::Line(response.to_json().to_string_compact())
+    }
+
+    /// The serving core behind both transports: workers answer whole
+    /// lines off one queue, so an idle connection costs its reader (see
+    /// [`read_requests`]), never a worker. `intake` runs on this thread
+    /// until input ends; `on_shutdown` runs after a shutdown ack, to end
+    /// it. One stop sentinel per worker then queues *behind* the lines
+    /// already read, so those are still answered before this returns.
+    fn serve(
+        &self,
+        on_shutdown: impl Fn() + Sync,
+        intake: impl FnOnce(&mpsc::Sender<Job>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let (queue, jobs) = mpsc::channel::<Job>();
+        let jobs = Mutex::new(jobs);
+        std::thread::scope(|s| {
+            for _ in 0..self.workers {
+                s.spawn(|| loop {
+                    let job = jobs.lock().expect("job queue poisoned").recv();
+                    let Ok(Some((conn, line))) = job else { break };
+                    let reply = match std::str::from_utf8(&line) {
+                        _ if line.len() > MAX_REQUEST_LINE => {
+                            self.reject(-1, &format!("request line over {MAX_REQUEST_LINE} bytes"))
+                        }
+                        Ok(line) => self.handle_line(line),
+                        Err(e) => self.reject(-1, &format!("bad request line: {e}")),
+                    };
+                    let (Reply::Line(text) | Reply::Shutdown(text)) = &reply;
+                    let mut out = conn.lock().expect("reply writer poisoned");
+                    let _ = writeln!(out, "{text}").and_then(|()| out.flush());
+                    if let Reply::Shutdown(_) = reply {
+                        on_shutdown();
+                    }
+                });
+            }
+            let served = intake(&queue);
+            for _ in 0..self.workers {
+                let _ = queue.send(None);
+            }
+            served
+        })
+    }
+
+    /// Serves newline-delimited JSON on stdin/stdout: responses stream
+    /// back as they finish (tagged by id — completion order is not
+    /// request order). EOF on stdin is a graceful shutdown, as is a
+    /// `{"shutdown":true}` line (acknowledged before the reader stops).
     ///
     /// # Errors
     ///
     /// Returns the first stdin read error.
     pub fn serve_stdio(&self) -> io::Result<()> {
-        let stdout: Arc<Mutex<Box<dyn Write + Send>>> =
-            Arc::new(Mutex::new(Box::new(io::stdout())));
         let stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<String>();
-        let rx = Mutex::new(rx);
-        std::thread::scope(|s| {
-            for _ in 0..self.workers {
-                let out = Arc::clone(&stdout);
-                let rx = &rx;
-                let stop = &stop;
-                s.spawn(move || loop {
-                    let line = rx.lock().unwrap().recv();
-                    let Ok(line) = line else { break };
-                    match self.handle_line(&line) {
-                        Reply::Line(resp) => {
-                            let mut out = out.lock().unwrap();
-                            let _ = writeln!(out, "{resp}");
-                            let _ = out.flush();
-                        }
-                        Reply::Shutdown(ack) => {
-                            stop.store(true, Ordering::SeqCst);
-                            let mut out = out.lock().unwrap();
-                            let _ = writeln!(out, "{ack}");
-                            let _ = out.flush();
-                        }
-                    }
-                });
-            }
-            for line in io::stdin().lock().lines() {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(e) => {
-                        drop(tx);
-                        return Err(e);
-                    }
-                };
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let _ = tx.send(line);
-            }
-            drop(tx);
-            Ok(())
-        })
+        let stdout: Conn = Arc::new(Mutex::new(io::stdout()));
+        self.serve(
+            || stop.store(true, Ordering::SeqCst),
+            |queue| read_requests(io::stdin().lock(), &stdout, queue, &stop),
+        )
     }
 
-    /// Serves a Unix domain socket: each accepted connection is handed
-    /// to the worker pool, which answers every request line on that
-    /// connection in order (concurrency comes from concurrent
-    /// connections). A `{"shutdown":true}` request is acknowledged,
-    /// then the listener stops accepting.
+    /// Serves an already-bound Unix socket (the daemon binds first so it
+    /// can announce readiness), one reader thread per connection. A
+    /// `{"shutdown":true}` request is acknowledged, then the listener
+    /// stops accepting; readers blocked on idle clients are not awaited.
     ///
     /// # Errors
     ///
-    /// Returns bind/accept errors; per-connection IO errors just drop
-    /// that connection.
-    #[cfg(unix)]
-    pub fn serve_unix(&self, path: &Path) -> io::Result<()> {
-        let listener = bind_unix(path)?;
-        self.serve_listener(listener, path)
-    }
-
-    /// [`serve_unix`](Server::serve_unix) over an already-bound
-    /// listener — the daemon binds first so it can announce readiness
-    /// before the accept loop starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns accept errors; per-connection IO errors just drop that
-    /// connection.
+    /// None yet: accept and per-connection IO errors drop that connection.
     #[cfg(unix)]
     pub fn serve_listener(
         &self,
         listener: std::os::unix::net::UnixListener,
         path: &Path,
     ) -> io::Result<()> {
-        use std::os::unix::net::UnixStream;
-
-        let stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<UnixStream>();
-        let rx = Mutex::new(rx);
-        std::thread::scope(|s| -> io::Result<()> {
-            for _ in 0..self.workers {
-                let rx = &rx;
-                let stop = &stop;
-                s.spawn(move || loop {
-                    let stream = rx.lock().unwrap().recv();
-                    let Ok(stream) = stream else { break };
-                    let Ok(read) = stream.try_clone() else {
-                        continue;
-                    };
-                    let mut write = stream;
-                    let reader = BufReader::new(read);
-                    for line in reader.lines() {
-                        let Ok(line) = line else { break };
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        match self.handle_line(&line) {
-                            Reply::Line(resp) => {
-                                if writeln!(write, "{resp}")
-                                    .and_then(|()| write.flush())
-                                    .is_err()
-                                {
-                                    break;
-                                }
-                            }
-                            Reply::Shutdown(ack) => {
-                                let _ = writeln!(write, "{ack}");
-                                let _ = write.flush();
-                                stop.store(true, Ordering::SeqCst);
-                                // unblock the accept loop so it can see
-                                // the stop flag
-                                let _ = UnixStream::connect(path);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-            for stream in listener.incoming() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let wake = || {
+            stop.store(true, Ordering::SeqCst);
+            // unblock the accept loop so it can see the stop flag
+            let _ = std::os::unix::net::UnixStream::connect(path);
+        };
+        self.serve(wake, |queue| {
+            for stream in listener.incoming().flatten() {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
-                match stream {
-                    Ok(s) => {
-                        let _ = tx.send(s);
-                    }
-                    Err(_) => continue,
-                }
+                let Ok(writer) = stream.try_clone() else {
+                    continue;
+                };
+                let conn: Conn = Arc::new(Mutex::new(writer));
+                let (queue, stop) = (queue.clone(), Arc::clone(&stop));
+                // detached on purpose: a reader blocked on an idle client
+                // must not hold up shutdown, and the process reaps it
+                let _ = std::thread::Builder::new()
+                    .spawn(move || read_requests(BufReader::new(stream), &conn, &queue, &stop));
             }
-            drop(tx);
             Ok(())
         })?;
         let _ = std::fs::remove_file(path);
         Ok(())
+    }
+}
+
+/// A connection's reader: queues each line as bytes until EOF, an error
+/// or a shutdown. An over-cap line is queued as its first
+/// `MAX_REQUEST_LINE + 1` bytes, for a worker to reject; the rest is skipped.
+fn read_requests(
+    mut input: impl BufRead,
+    conn: &Conn,
+    queue: &mpsc::Sender<Job>,
+    stop: &AtomicBool,
+) -> io::Result<()> {
+    loop {
+        let mut line = Vec::new();
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        let read = io::Read::take(&mut input, cap).read_until(b'\n', &mut line)?;
+        if read == 0 || stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_REQUEST_LINE {
+            input.skip_until(b'\n')?;
+        }
+        let blank = line.len() <= MAX_REQUEST_LINE && line.trim_ascii().is_empty();
+        if !blank && queue.send(Some((Arc::clone(conn), line))).is_err() {
+            return Ok(());
+        }
     }
 }
 
@@ -835,17 +833,6 @@ pub fn bind_unix(path: &Path) -> io::Result<std::os::unix::net::UnixListener> {
     std::os::unix::net::UnixListener::bind(path)
 }
 
-fn protocol_error(id: i64, message: &str) -> String {
-    CompileResponse {
-        id,
-        exit: 2,
-        stdout: String::new(),
-        stderr: format!("titanc: server: {message}\n"),
-    }
-    .to_json()
-    .to_string_compact()
-}
-
 // ---------------------------------------------------------------------
 // Client side
 // ---------------------------------------------------------------------
@@ -859,18 +846,8 @@ fn protocol_error(id: i64, message: &str) -> String {
 /// is not a [`CompileResponse`] line.
 #[cfg(unix)]
 pub fn request_over_unix(addr: &Path, req: &CompileRequest) -> io::Result<CompileResponse> {
-    use std::os::unix::net::UnixStream;
-
-    let mut stream = UnixStream::connect(addr)?;
-    writeln!(stream, "{}", req.to_json().to_string_compact())?;
-    stream.flush()?;
-    stream.shutdown(std::net::Shutdown::Write)?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line)?;
-    let doc = parse(line.trim_end())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))?;
-    CompileResponse::from_json(&doc)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
+    let doc = round_trip(addr, &req.to_json().to_string_compact(), "bad response")?;
+    CompileResponse::from_json(&doc).map_err(|e| invalid_data("bad response", e))
 }
 
 /// Sends `{"shutdown":true}` over a Unix socket and returns the
@@ -882,21 +859,28 @@ pub fn request_over_unix(addr: &Path, req: &CompileRequest) -> io::Result<Compil
 /// acknowledgement.
 #[cfg(unix)]
 pub fn shutdown_over_unix(addr: &Path) -> io::Result<ServerTotals> {
-    use std::os::unix::net::UnixStream;
+    let doc = round_trip(addr, r#"{"shutdown":true}"#, "bad ack")?;
+    doc.field("totals")
+        .and_then(ServerTotals::from_json)
+        .map_err(|e| invalid_data("bad ack", e))
+}
 
-    let mut stream = UnixStream::connect(addr)?;
-    writeln!(stream, "{{\"shutdown\":true}}")?;
+/// One client round trip: connect, send `line`, half-close, and parse
+/// the one reply line (`what` names a malformed reply in the error).
+#[cfg(unix)]
+fn round_trip(addr: &Path, line: &str, what: &str) -> io::Result<Json> {
+    let mut stream = std::os::unix::net::UnixStream::connect(addr)?;
+    writeln!(stream, "{line}")?;
     stream.flush()?;
     stream.shutdown(std::net::Shutdown::Write)?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line)?;
-    let doc = parse(line.trim_end())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad ack: {e}")))?;
-    let totals = doc
-        .field("totals")
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad ack: {e}")))?;
-    ServerTotals::from_json(totals)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad ack: {e}")))
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply)?;
+    parse(reply.trim_end()).map_err(|e| invalid_data(what, e))
+}
+
+#[cfg(unix)]
+fn invalid_data(what: &str, e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("{what}: {e}"))
 }
 
 #[cfg(test)]
