@@ -13,6 +13,14 @@
 //! Compiled programs execute on a cycle-cost simulator of the Ardent Titan
 //! (`titanc-titan`).
 //!
+//! ## One driver
+//!
+//! Every compile is a session ([`session`]): parse and lower each file,
+//! merge them, link catalogs, run the [`Pipeline`]. [`compile`] is a
+//! one-file session with no cache, and the `titanc` and `titand` binaries
+//! both go through [`compile_session_with`] or its resident-cache twin
+//! and print the result through one renderer, [`server::render`].
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -177,6 +185,24 @@ impl Options {
         }
     }
 
+    /// Rejects the knob values no compilation can honour, where the type
+    /// admits them: a strip length below 1 strip-mines a loop into one
+    /// that never runs or steps by zero. `titanc --strip` and `titand`
+    /// requests both check here.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the bad value.
+    pub fn check(&self) -> Result<(), String> {
+        if self.strip < 1 {
+            return Err(format!(
+                "strip length must be at least 1, not {}",
+                self.strip
+            ));
+        }
+        Ok(())
+    }
+
     /// The worker-thread count the pipeline will actually use: `jobs`,
     /// with `0` resolved to the machine's available parallelism.
     pub fn effective_jobs(&self) -> usize {
@@ -313,7 +339,8 @@ impl fmt::Display for CompileError {
 
 impl Error for CompileError {}
 
-/// Compiles C source with the given options.
+/// Compiles C source with the given options: a one-file
+/// [`compile_session`] with no cache, its file named `<input>`.
 ///
 /// The front end is fail-soft: parsing continues past errors (up to
 /// [`Options::max_errors`]), so the returned [`CompileError`] carries
@@ -341,145 +368,8 @@ pub fn compile_with(
     options: &Options,
     pipeline: Pipeline,
 ) -> Result<Compilation, CompileError> {
-    let mut sink = DiagnosticSink::new(options.max_errors);
-    let tu = titanc_cfront::parse_recovering(src, &mut sink);
-    if sink.has_errors() {
-        // make the cap visible: the reported list is shorter than the
-        // real error count when --max-errors stopped the front end early
-        if sink.suppressed() > 0 {
-            sink.warning(
-                format!(
-                    "{} further error(s) suppressed by --max-errors (total {})",
-                    sink.suppressed(),
-                    sink.error_count()
-                ),
-                Span::none(),
-            );
-        }
-        return Err(CompileError::from_diagnostics(sink.into_diagnostics()));
-    }
-    let mut program = match titanc_lower::lower(&tu) {
-        Ok(p) => p,
-        Err(e) => {
-            sink.error(e.message.clone(), e.span);
-            return Err(CompileError::from_diagnostics(sink.into_diagnostics()));
-        }
-    };
-
-    let mut snapshots = Vec::new();
-    if options.snapshots {
-        pass::snapshot_all("lower", &program, &mut snapshots);
-    }
-    if cfg!(debug_assertions) || options.verify {
-        // broken IL straight out of lowering has no last-good state to
-        // roll back to: report it as an (internal) error, don't panic
-        if let Err(detail) = pass::verify_program_check(&program) {
-            return Err(CompileError::internal(format!(
-                "internal error: IL verification failed after lowering: {detail}"
-            )));
-        }
-    }
-
-    // §7: link catalogs before the pipeline runs, so the inline pass can
-    // expand cross-file calls.
-    let origin = program
-        .procs
-        .iter()
-        .map(|p| (p.name.clone(), "the translation unit".to_string()))
-        .collect();
-    link_catalogs(&mut program, &options.catalogs, origin, &mut sink);
-
-    let parsed = options.keep_parsed.then(|| program.clone());
-
-    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots);
-
-    optimization_remarks(&reports, &mut sink);
-
-    Ok(Compilation {
-        program,
-        reports,
-        trace,
-        snapshots,
-        diagnostics: sink.into_diagnostics(),
-        parsed,
-    })
-}
-
-/// Links catalogs in CLI order, warning about every shadowed procedure
-/// with both origins named. Earlier definitions win: the translation
-/// unit(s) first, then catalogs in the order given. `origin` seeds the
-/// name → origin map with where each already-present procedure came from.
-fn link_catalogs(
-    program: &mut Program,
-    catalogs: &[Catalog],
-    mut origin: Vec<(String, String)>,
-    sink: &mut DiagnosticSink,
-) {
-    for catalog in catalogs {
-        let report = catalog.link_into(program);
-        for name in &report.shadowed {
-            let earlier = origin
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, o)| o.as_str())
-                .unwrap_or("an earlier definition");
-            sink.warning(
-                format!(
-                    "procedure `{name}` from catalog `{}` is shadowed by {earlier}",
-                    catalog.name
-                ),
-                Span::none(),
-            );
-        }
-        for name in report.added {
-            origin.push((name, format!("catalog `{}`", catalog.name)));
-        }
-    }
-}
-
-/// Turns the aggregate pass reports into user-facing remarks: which loops
-/// defeated the vectorizer and why, and which fixpoint budgets ran out.
-fn optimization_remarks(reports: &Reports, sink: &mut DiagnosticSink) {
-    for note in &reports.vector.notes {
-        sink.remark(note.clone(), Span::none());
-    }
-    if reports.constprop.budget_exhausted {
-        sink.remark(
-            format!(
-                "constant propagation stopped at its {}-round budget; remaining \
-                 opportunities were left to later passes",
-                titanc_opt::constprop::MAX_ROUNDS
-            ),
-            Span::none(),
-        );
-    }
-    if reports.dce.budget_exhausted {
-        sink.remark(
-            format!(
-                "dead-code elimination stopped at its {}-round budget",
-                titanc_opt::dce::MAX_ROUNDS
-            ),
-            Span::none(),
-        );
-    }
-    if reports.ivsub.budget_exhausted {
-        sink.remark(
-            format!(
-                "induction-variable substitution stopped at its {}-pass budget",
-                titanc_opt::ivsub::MAX_PASSES
-            ),
-            Span::none(),
-        );
-    }
-    if reports.inline.skipped_growth > 0 {
-        sink.remark(
-            format!(
-                "{} call site(s) left unexpanded by the per-caller inline IL-growth budget",
-                reports.inline.skipped_growth
-            ),
-            Span::none(),
-        );
-    }
+    let file = SourceFile::new("<input>", src);
+    compile_session_with(&[file], options, pipeline, None).map(|sc| sc.compilation)
 }
 
 /// Compiles and immediately runs `entry` on a Titan with the given

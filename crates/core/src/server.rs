@@ -15,19 +15,20 @@
 //!
 //! Every connection, stdin included, feeds one worker queue; replies go
 //! back on each line's own connection in completion order, keyed by
-//! `id`. A non-UTF-8 or over-[`MAX_REQUEST_LINE`] line answers `exit: 2`.
+//! `id`. A non-UTF-8 or over-[`MAX_REQUEST_LINE`] line, and a request
+//! [`CompileRequest::check`] rejects, answers `exit: 2`.
 //!
 //! ## Byte identity
 //!
 //! Server responses must be byte-identical to a one-shot `titanc` run on
-//! the same inputs. That contract is kept *by construction*: the CLI
-//! driver and [`execute`] render through the same functions in this
-//! module ([`diag_line`], [`cache_line`], [`stats_block`], [`il_block`],
-//! [`opt_report_block`], …) — there is no second copy of the output
-//! formatting to drift. The only legitimate difference is the
-//! `titanc: cache:` accounting line, which reflects cache *state* (a
-//! long-lived daemon accumulates hits a cold one-shot run cannot see);
-//! comparisons strip it.
+//! the same inputs. That contract is kept *by construction*: both compile
+//! through the one session driver ([`crate::session`]) and render the
+//! result through one function, [`render`] — there is no second copy of
+//! the compile or of the output sequence to drift. The only legitimate
+//! difference is the `titanc: cache:` accounting line, which reflects
+//! cache *state* (a long-lived daemon accumulates hits a cold one-shot
+//! run cannot see); a one-shot run prints it only under `--cache-dir`,
+//! and comparisons strip it.
 //!
 //! ## Shared cache semantics
 //!
@@ -49,10 +50,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use crate::session::{compile_session_resident, SourceFile};
+use crate::session::{compile_session_resident, SessionCompilation, SourceFile};
 use crate::store::ResidentCache;
 use crate::trace::OptReport;
-use crate::{Compilation, Options, Pipeline, Reports, SessionStats};
+use crate::{Compilation, CompileError, Diagnostic, Options, Pipeline, Reports, SessionStats};
 use titanc_il::json::{parse, FromJson, Json, ToJson};
 
 /// Exit code for "a contained pass incident was reported and `--strict`
@@ -180,6 +181,19 @@ impl CompileRequest {
         o.max_errors = self.max_errors.max(0) as usize;
         o
     }
+
+    /// Rejects the field values no compile can honour: an `opt` outside
+    /// 0–2, and whatever [`Options::check`] rejects.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message a `bad request` reply carries.
+    pub fn check(&self) -> Result<(), String> {
+        if !(0..=2).contains(&self.opt) {
+            return Err(format!("opt must be 0, 1 or 2, not {}", self.opt));
+        }
+        self.options().check()
+    }
 }
 
 /// One compile response: the one-shot CLI's exit code and its exact
@@ -306,21 +320,85 @@ impl std::fmt::Display for ServerTotals {
 // Shared output rendering (the byte-identity functions)
 // ---------------------------------------------------------------------
 
-/// Renders one diagnostic line exactly as the CLI prints it:
-/// single-file invocations keep the classic `file:line:col: message`
-/// shape; multi-file sessions already carry the file name inside the
-/// message.
-pub fn diag_line(files: &[String], d: &impl std::fmt::Display) -> String {
-    if let [file] = files {
-        format!("{file}:{d}\n")
-    } else {
-        format!("{d}\n")
+/// Renders one compile exactly as one-shot `titanc` prints it: the one
+/// renderer behind both the CLI and [`execute`], so their outputs agree
+/// by construction. Stderr gets the diagnostics, the `titanc: cache:`
+/// line when `show_cache` is set, and the contained incidents, then
+/// `--strict` may stop with [`EXIT_INCIDENT`]; stdout gets the
+/// `--snapshots` blocks (a request never asks for them), `--print-il`,
+/// `--stats` and `--opt-report`. A front-end failure renders its
+/// diagnostics and exits 1.
+pub fn render(
+    req: &CompileRequest,
+    result: &Result<SessionCompilation, CompileError>,
+    show_cache: bool,
+) -> CompileResponse {
+    // one file keeps the classic `file:line:col: message` shape; a
+    // multi-file session already carries the file inside the message
+    let diag_line = |d: &Diagnostic| match &req.files[..] {
+        [file] => format!("{}:{d}\n", file.name),
+        _ => format!("{d}\n"),
+    };
+    let mut response = CompileResponse {
+        id: req.id,
+        ..CompileResponse::default()
+    };
+    let (out, err) = (&mut response.stdout, &mut response.stderr);
+    let sc = match result {
+        Ok(sc) => sc,
+        Err(e) => {
+            for d in &e.diagnostics {
+                err.push_str(&diag_line(d));
+            }
+            response.exit = 1;
+            return response;
+        }
+    };
+    let compiled = &sc.compilation;
+    for d in &compiled.diagnostics {
+        err.push_str(&diag_line(d));
     }
+    if show_cache {
+        let _ = writeln!(err, "{}", cache_line(&sc.stats));
+    }
+    // contained faults: the affected procedures were rolled back to their
+    // last-verified IL and shipped unoptimized
+    for incident in &compiled.trace.incidents {
+        let _ = writeln!(err, "titanc: warning: {incident}");
+    }
+    if req.strict && compiled.has_incidents() {
+        let _ = writeln!(
+            err,
+            "titanc: {} pass incident(s) contained; failing because of --strict",
+            compiled.trace.incidents.len()
+        );
+        response.exit = i64::from(EXIT_INCIDENT);
+        return response;
+    }
+    for snap in &compiled.snapshots {
+        let _ = writeln!(
+            out,
+            "===== {} after {} =====\n{}",
+            snap.proc, snap.phase, snap.il
+        );
+    }
+    if req.print_il {
+        out.push_str(&il_block(&compiled.program));
+    }
+    if req.stats {
+        out.push_str(&stats_block(&compiled.reports));
+    }
+    match req.opt_report.as_str() {
+        "text" => out.push_str(&opt_report_block(compiled, false)),
+        "json" => out.push_str(&opt_report_block(compiled, true)),
+        _ => {}
+    }
+    response
 }
 
 /// The `titanc: cache:` accounting line (no trailing newline); CI's
 /// cache-smoke job parses this exact shape.
-pub fn cache_line(stats: &SessionStats) -> String {
+fn cache_line(stats: &SessionStats) -> String {
     format!(
         "titanc: cache: {} hit(s), {} miss(es), {} invalidated; {} pass execution(s){}; \
          {} corrupt, {} quarantined, {} lock-contended, {} write-failed",
@@ -336,16 +414,6 @@ pub fn cache_line(stats: &SessionStats) -> String {
     )
 }
 
-/// One contained-incident warning line.
-pub fn incident_line(incident: &impl std::fmt::Display) -> String {
-    format!("titanc: warning: {incident}\n")
-}
-
-/// The `--strict` failure line.
-pub fn strict_line(incidents: usize) -> String {
-    format!("titanc: {incidents} pass incident(s) contained; failing because of --strict\n")
-}
-
 /// The `--print-il` block: every procedure pretty-printed.
 pub fn il_block(program: &titanc_il::Program) -> String {
     let mut out = String::new();
@@ -356,7 +424,7 @@ pub fn il_block(program: &titanc_il::Program) -> String {
 }
 
 /// The `--stats` block.
-pub fn stats_block(r: &Reports) -> String {
+fn stats_block(r: &Reports) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -457,89 +525,30 @@ pub struct Executed {
 
 /// Executes one request against the shared resident cache, rendering
 /// stdout/stderr exactly as one-shot `titanc` would (see the module
-/// docs on byte identity).
+/// docs on byte identity). [`Server::handle_line`] has already rejected
+/// the requests [`CompileRequest::check`] refuses.
 pub fn execute(req: &CompileRequest, resident: &ResidentCache) -> Executed {
-    let mut out = String::new();
-    let mut err = String::new();
-    let names: Vec<String> = req.files.iter().map(|f| f.name.clone()).collect();
-
     if req.files.is_empty() {
         return Executed {
-            response: CompileResponse {
-                id: req.id,
-                exit: 2,
-                stdout: out,
-                stderr: "titanc: server: request carries no files\n".to_string(),
-            },
+            response: bad_request(req.id, "request carries no files"),
             stats: None,
         };
     }
-
     let options = req.options();
-    let pipeline = base_pipeline(&options);
-    let compiled = match compile_session_resident(&req.files, &options, pipeline, resident) {
-        Ok(sc) => {
-            let stats = sc.stats;
-            let compiled = sc.compilation;
-            for d in &compiled.diagnostics {
-                err.push_str(&diag_line(&names, d));
-            }
-            err.push_str(&cache_line(&stats));
-            err.push('\n');
-            for incident in &compiled.trace.incidents {
-                err.push_str(&incident_line(incident));
-            }
-            if req.strict && compiled.has_incidents() {
-                err.push_str(&strict_line(compiled.trace.incidents.len()));
-                return Executed {
-                    response: CompileResponse {
-                        id: req.id,
-                        exit: i64::from(EXIT_INCIDENT),
-                        stdout: out,
-                        stderr: err,
-                    },
-                    stats: Some(stats),
-                };
-            }
-            (compiled, stats)
-        }
-        Err(e) => {
-            for d in &e.diagnostics {
-                err.push_str(&diag_line(&names, d));
-            }
-            return Executed {
-                response: CompileResponse {
-                    id: req.id,
-                    exit: 1,
-                    stdout: out,
-                    stderr: err,
-                },
-                stats: None,
-            };
-        }
-    };
-    let (compiled, stats) = compiled;
-
-    if req.print_il {
-        out.push_str(&il_block(&compiled.program));
-    }
-    if req.stats {
-        out.push_str(&stats_block(&compiled.reports));
-    }
-    match req.opt_report.as_str() {
-        "text" => out.push_str(&opt_report_block(&compiled, false)),
-        "json" => out.push_str(&opt_report_block(&compiled, true)),
-        _ => {}
-    }
-
+    let result = compile_session_resident(&req.files, &options, base_pipeline(&options), resident);
     Executed {
-        response: CompileResponse {
-            id: req.id,
-            exit: 0,
-            stdout: out,
-            stderr: err,
-        },
-        stats: Some(stats),
+        response: render(req, &result, true),
+        stats: result.ok().map(|sc| sc.stats),
+    }
+}
+
+/// The `exit: 2` response to a request the server will not run.
+fn bad_request(id: i64, message: &str) -> CompileResponse {
+    CompileResponse {
+        id,
+        exit: 2,
+        stdout: String::new(),
+        stderr: format!("titanc: server: {message}\n"),
     }
 }
 
@@ -650,6 +659,9 @@ impl Server {
                 return self.reject(id, &format!("bad request: {e}"));
             }
         };
+        if let Err(e) = req.check() {
+            return self.reject(req.id, &format!("bad request: {e}"));
+        }
         let done = execute(&req, &self.resident);
         {
             let mut totals = self.totals.lock().unwrap();
@@ -684,13 +696,7 @@ impl Server {
     /// Counts a protocol error and renders its `exit: 2` response.
     fn reject(&self, id: i64, message: &str) -> Reply {
         self.totals.lock().unwrap().protocol_errors += 1;
-        let response = CompileResponse {
-            id,
-            exit: 2,
-            stdout: String::new(),
-            stderr: format!("titanc: server: {message}\n"),
-        };
-        Reply::Line(response.to_json().to_string_compact())
+        Reply::Line(bad_request(id, message).to_json().to_string_compact())
     }
 
     /// The serving core behind both transports: workers answer whole
@@ -923,6 +929,35 @@ mod tests {
         let totals = server.totals();
         assert_eq!(totals.protocol_errors, 2);
         assert_eq!(totals.requests, 0);
+    }
+
+    /// A strip length below 1 used to compile into a strip loop that
+    /// never runs (or steps by zero), and an `opt` outside 0–2 was served
+    /// as O2; both are bad requests now.
+    #[test]
+    fn out_of_range_strip_and_opt_are_bad_requests() {
+        let server = Server::new(&ServerConfig::default()).quiet();
+        let cases = [(2, 0), (2, -4), (-3, 32), (7, 32)];
+        for (id, &(opt, strip)) in cases.iter().enumerate() {
+            let req = CompileRequest {
+                opt,
+                strip,
+                ..tiny_request(id as i64, 0)
+            };
+            let resp = response_of(server.handle_line(&req.to_json().to_string_compact()));
+            assert_eq!(
+                (resp.id, resp.exit),
+                (id as i64, 2),
+                "opt {opt} strip {strip}"
+            );
+            assert!(
+                resp.stderr.starts_with("titanc: server: bad request: "),
+                "{}",
+                resp.stderr
+            );
+        }
+        let totals = server.totals();
+        assert_eq!((totals.protocol_errors, totals.requests), (4, 0));
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! winning), and then runs the normal pass pipeline over the combined
 //! program.
 //!
+//! This is the only compile driver: [`crate::compile`] is a one-file
+//! session with no cache, and both binaries compile through it. Without a
+//! cache store a session does no cache work at all — no keys, no
+//! recorded cells — and runs the plain [`Pipeline::run`].
+//!
 //! ## The content-addressed cache
 //!
 //! With `--cache-dir DIR`, each procedure's fully optimized IL is keyed
@@ -68,16 +73,16 @@ use std::time::Duration;
 use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
 use titanc_il::json::{FromJson, ToJson};
-use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, StructId, Type, VarInfo};
+use titanc_il::{
+    Catalog, Procedure, Program, StableHash, StableHasher, StructDef, StructId, Type, VarInfo,
+};
 
 use crate::pass::{
     snapshot_all, verify_proc_check, verify_program_check, CachedProc, PassRecord, PassTrace,
-    RecordedCell, SessionReplay,
+    RecordedCell, SessionReplay, Snapshot,
 };
 use crate::store::{CacheStore, ResidentCache, CACHE_FORMAT};
-use crate::{
-    link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
-};
+use crate::{Compilation, CompileError, Options, Pipeline, Reports};
 
 /// Bumped when the entry or manifest encoding changes shape; entries
 /// written by other versions are treated as misses.
@@ -204,11 +209,15 @@ pub fn compile_session_resident(
     )
 }
 
+/// The one compile driver: every path from source text to a
+/// [`Compilation`] runs through here. With no store it does no cache
+/// work at all — no keys, no recorded cells — and runs the plain
+/// [`Pipeline::run`].
 fn compile_session_impl(
     files: &[SourceFile],
     options: &Options,
     pipeline: Pipeline,
-    store: Option<CacheStore>,
+    mut store: Option<CacheStore>,
 ) -> Result<SessionCompilation, CompileError> {
     if files.is_empty() {
         return Err(CompileError::internal("no input files"));
@@ -224,6 +233,8 @@ fn compile_session_impl(
         let mut sink = DiagnosticSink::new(options.max_errors);
         let tu = titanc_cfront::parse_recovering(&f.src, &mut sink);
         if sink.has_errors() {
+            // make the cap visible: the reported list is shorter than the
+            // real error count when --max-errors stopped the front end
             if sink.suppressed() > 0 {
                 sink.warning(
                     format!(
@@ -235,26 +246,23 @@ fn compile_session_impl(
                 );
             }
             failed = true;
-            extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
-            continue;
-        }
-        match titanc_lower::lower(&tu) {
-            Ok(p) => {
-                extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
-                tus.push((f.name.clone(), p));
-            }
-            Err(e) => {
-                sink.error(e.message.clone(), e.span);
-                failed = true;
-                extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
+        } else {
+            match titanc_lower::lower(&tu) {
+                Ok(p) => tus.push((f.name.clone(), p)),
+                Err(e) => {
+                    sink.error(e.message.clone(), e.span);
+                    failed = true;
+                }
             }
         }
+        extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
     }
     if failed {
         return Err(CompileError::from_diagnostics(diagnostics));
     }
 
-    // merge the TUs (earlier files win), then link catalogs as usual
+    // merge the TUs (earlier files win), then link catalogs (§7) so the
+    // inline pass can expand cross-file calls
     let mut sink = DiagnosticSink::new(0);
     let mut program = Program::new();
     let mut origin: Vec<(String, String)> = Vec::new();
@@ -268,6 +276,8 @@ fn compile_session_impl(
         snapshot_all("lower", &program, &mut snapshots);
     }
     if cfg!(debug_assertions) || options.verify {
+        // broken IL straight out of lowering has no last-good state to
+        // roll back to: report it as an (internal) error, don't panic
         if let Err(detail) = verify_program_check(&program) {
             return Err(CompileError::internal(format!(
                 "internal error: IL verification failed after lowering: {detail}"
@@ -277,79 +287,24 @@ fn compile_session_impl(
 
     let parsed = options.keep_parsed.then(|| program.clone());
 
-    let pipeline_fp = pipeline.pass_names().join(",");
-    let hashes = proc_hashes(&program, options, &pipeline_fp);
-    let (program_stages, proc_stages) = pipeline.stage_counts();
     let mut stats = SessionStats::default();
-
-    let mut store = store;
-    // the session key is computed on the *parsed* program — exactly what
-    // the next invocation computes before any pass runs, so the manifest
-    // a run persists is the manifest its successor looks up
-    let session_key = store
-        .as_ref()
-        .map(|_| session_hash(&program, options, &pipeline_fp, &hashes));
-
-    // fully warm? the manifest carries the aggregate records and the
-    // post-pipeline program environment, the entries carry the IL — no
-    // pass executes at all. Every entry is checksummed on read and its
-    // IL re-verified before being trusted; any rejection quarantines the
-    // file and falls through to a real compile.
-    if let (Some(st), Some(key)) = (store.as_mut(), &session_key) {
-        if let Some((warm, reports, trace)) = load_full_warm(st, key, &program, &hashes, &pipeline)
-        {
-            let verified =
-                !(cfg!(debug_assertions) || options.verify) || verify_program_check(&warm).is_ok();
-            if verified {
-                optimization_remarks(&reports, &mut sink);
-                store_diagnostics(st, &mut sink);
-                fold_store_stats(st, &mut stats);
-                diagnostics.extend(sink.into_diagnostics());
-                stats.hits = warm.procs.len();
-                stats.full_warm = true;
-                return Ok(SessionCompilation {
-                    compilation: Compilation {
-                        program: warm,
-                        reports,
-                        trace,
-                        snapshots,
-                        diagnostics,
-                        parsed,
-                    },
-                    stats,
-                });
-            }
-            // a manifest that decodes but fails verification is corrupt:
-            // fall through and compile for real
-        }
-    }
-
-    // cold or partially warm: seed per-procedure hits and run the
-    // pipeline; hits replay, misses execute
-    let mut replay = SessionReplay::default();
-    if let Some(st) = store.as_mut() {
-        for (p, h) in program.procs.iter().zip(&hashes) {
-            if let Some((il, cells)) = load_entry(st, h, &p.name) {
-                replay
-                    .hits
-                    .insert(p.name.clone(), CachedProc::new(il, cells));
-            } else if st
-                .read(&pointer_name(&p.name))
-                .is_some_and(|old| old != h.hex())
-            {
-                stats.invalidated += 1;
-            }
-        }
-    }
-    let (reports, trace) = pipeline.run_session(&mut program, options, &mut snapshots, &mut replay);
-
-    stats.hits = replay.replayed.len();
+    let (reports, trace) = match store.as_mut() {
+        None => pipeline.run(&mut program, options, &mut snapshots),
+        Some(st) => run_cached(
+            st,
+            &mut program,
+            options,
+            &pipeline,
+            &mut snapshots,
+            &mut stats,
+        ),
+    };
     stats.misses = program.procs.len().saturating_sub(stats.hits);
-    stats.passes_executed = program_stages + proc_stages * stats.misses;
-
-    if let (Some(st), Some(key)) = (store.as_mut(), &session_key) {
-        persist(st, key, &program, &hashes, &trace, &replay, proc_stages);
+    if !stats.full_warm {
+        let (program_stages, proc_stages) = pipeline.stage_counts();
+        stats.passes_executed = program_stages + proc_stages * stats.misses;
     }
+
     optimization_remarks(&reports, &mut sink);
     if let Some(st) = &store {
         store_diagnostics(st, &mut sink);
@@ -370,11 +325,77 @@ fn compile_session_impl(
     })
 }
 
+/// Runs the pipeline against a cache store. When a session manifest
+/// matches and every entry verifies, `program` is replaced by the cached
+/// result and no pass executes; otherwise hits replay, misses execute,
+/// and the clean results are published for the next run.
+fn run_cached(
+    store: &mut CacheStore,
+    program: &mut Program,
+    options: &Options,
+    pipeline: &Pipeline,
+    snapshots: &mut Vec<Snapshot>,
+    stats: &mut SessionStats,
+) -> (Reports, PassTrace) {
+    let pipeline_fp = pipeline.pass_names().join(",");
+    let hashes = proc_hashes(program, options, &pipeline_fp);
+    // the session key is computed on the *parsed* program — exactly what
+    // the next invocation computes before any pass runs, so the manifest
+    // a run persists is the manifest its successor looks up
+    let session_key = session_hash(program, options, &pipeline_fp, &hashes);
+
+    // fully warm? the manifest carries the aggregate records and the
+    // post-pipeline program environment, the entries carry the IL — no
+    // pass executes at all. Every entry is checksummed on read and its
+    // IL re-verified before being trusted; any rejection quarantines the
+    // file and falls through to a real compile.
+    if let Some((warm, reports, trace)) =
+        load_full_warm(store, &session_key, program, &hashes, pipeline)
+    {
+        // a manifest that decodes but fails verification is corrupt:
+        // fall through and compile for real
+        if !(cfg!(debug_assertions) || options.verify) || verify_program_check(&warm).is_ok() {
+            stats.hits = warm.procs.len();
+            stats.full_warm = true;
+            *program = warm;
+            return (reports, trace);
+        }
+    }
+
+    // cold or partially warm: seed per-procedure hits and run the
+    // pipeline; hits replay, misses execute
+    let mut replay = SessionReplay::default();
+    for (p, h) in program.procs.iter().zip(&hashes) {
+        if let Some((il, cells)) = load_entry(store, h, &p.name) {
+            replay
+                .hits
+                .insert(p.name.clone(), CachedProc::new(il, cells));
+        } else if store
+            .read(&pointer_name(&p.name))
+            .is_some_and(|old| old != h.hex())
+        {
+            stats.invalidated += 1;
+        }
+    }
+    let (reports, trace) = pipeline.run_session(program, options, snapshots, &mut replay);
+    stats.hits = replay.replayed.len();
+    let (_, proc_stages) = pipeline.stage_counts();
+    persist(
+        store,
+        &session_key,
+        program,
+        &hashes,
+        &trace,
+        &replay,
+        proc_stages,
+    );
+    (reports, trace)
+}
+
 /// Appends `diags`, folding the file name (and the position, when
 /// known) into each message in multi-file sessions, so renderings read
-/// `file:line:col: message` with the file first. Single-file sessions
-/// keep the exact single-TU rendering, so artifacts stay byte-identical
-/// with [`crate::compile`].
+/// `file:line:col: message` with the file first. A one-file session
+/// leaves them untouched: the CLI prefixes its one file name itself.
 fn extend_tagged(out: &mut Vec<Diagnostic>, file: &str, diags: Vec<Diagnostic>, multi: bool) {
     for mut d in diags {
         if multi {
@@ -386,6 +407,83 @@ fn extend_tagged(out: &mut Vec<Diagnostic>, file: &str, diags: Vec<Diagnostic>, 
             d.span = Span::none();
         }
         out.push(d);
+    }
+}
+
+/// Links catalogs in CLI order, warning about every shadowed procedure
+/// with both origins named. Earlier definitions win: the source files
+/// first, then catalogs in the order given. `origin` maps each
+/// already-present procedure to the file it came from.
+fn link_catalogs(
+    program: &mut Program,
+    catalogs: &[Catalog],
+    mut origin: Vec<(String, String)>,
+    sink: &mut DiagnosticSink,
+) {
+    for catalog in catalogs {
+        let report = catalog.link_into(program);
+        for name in &report.shadowed {
+            let earlier = origin
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, o)| o.as_str())
+                .unwrap_or("an earlier definition");
+            sink.warning(
+                format!(
+                    "procedure `{name}` from catalog `{}` is shadowed by {earlier}",
+                    catalog.name
+                ),
+                Span::none(),
+            );
+        }
+        for name in report.added {
+            origin.push((name, format!("catalog `{}`", catalog.name)));
+        }
+    }
+}
+
+/// Turns the aggregate pass reports into user-facing remarks: which loops
+/// defeated the vectorizer and why, and which fixpoint budgets ran out.
+fn optimization_remarks(reports: &Reports, sink: &mut DiagnosticSink) {
+    for note in &reports.vector.notes {
+        sink.remark(note.clone(), Span::none());
+    }
+    if reports.constprop.budget_exhausted {
+        sink.remark(
+            format!(
+                "constant propagation stopped at its {}-round budget; remaining \
+                 opportunities were left to later passes",
+                titanc_opt::constprop::MAX_ROUNDS
+            ),
+            Span::none(),
+        );
+    }
+    if reports.dce.budget_exhausted {
+        sink.remark(
+            format!(
+                "dead-code elimination stopped at its {}-round budget",
+                titanc_opt::dce::MAX_ROUNDS
+            ),
+            Span::none(),
+        );
+    }
+    if reports.ivsub.budget_exhausted {
+        sink.remark(
+            format!(
+                "induction-variable substitution stopped at its {}-pass budget",
+                titanc_opt::ivsub::MAX_PASSES
+            ),
+            Span::none(),
+        );
+    }
+    if reports.inline.skipped_growth > 0 {
+        sink.remark(
+            format!(
+                "{} call site(s) left unexpanded by the per-caller inline IL-growth budget",
+                reports.inline.skipped_growth
+            ),
+            Span::none(),
+        );
     }
 }
 
@@ -405,8 +503,9 @@ fn remap_type(ty: &mut Type, smap: &[usize]) {
 }
 
 /// Merges one lowered TU into the session program: struct layouts dedup
-/// by tag (ids remapped), globals merge by name, duplicate procedures
-/// are diagnosed and dropped (earlier files win), and in multi-file
+/// by tag against earlier files (ids remapped), globals merge by name,
+/// duplicate procedures are diagnosed and dropped (earlier definitions
+/// win), and in multi-file
 /// sessions every span is tagged with its origin file so `--opt-report`
 /// attributes loops to the right file.
 fn merge_tu(
@@ -419,8 +518,14 @@ fn merge_tu(
 ) {
     let mut smap: Vec<usize> = Vec::with_capacity(tu.structs.len());
     let mut appended: Vec<usize> = Vec::new();
+    // dedup against earlier files only: a TU's own table is what its
+    // code was lowered against, repeated tags included
+    let earlier = program.structs.len();
     for sd in &tu.structs {
-        match program.structs.iter().position(|s| s.name == sd.name) {
+        match program.structs[..earlier]
+            .iter()
+            .position(|s| s.name == sd.name)
+        {
             Some(j) => {
                 if program.structs[j].size != sd.size
                     || program.structs[j].fields.len() != sd.fields.len()

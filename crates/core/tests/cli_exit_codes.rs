@@ -62,6 +62,29 @@ fn usage_errors_exit_two() {
     }
 }
 
+/// A strip length below 1 used to compile: `-4` ran a strip loop zero
+/// times (a silent miscompile) and `0` faulted at run time. Both are
+/// usage errors now, like `--jobs 0`.
+#[test]
+fn strip_below_one_is_a_usage_error() {
+    let src = write_temp("strip.c", GOOD);
+    for strip in ["-4", "0"] {
+        let out = titanc()
+            .args(["--parallel", "--strip", strip])
+            .arg(&src)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--strip {strip}");
+        assert!(
+            stderr_of(&out).contains("strip length must be at least 1"),
+            "{}",
+            stderr_of(&out)
+        );
+    }
+    let out = titanc().args(["--strip", "1"]).arg(&src).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+}
+
 #[test]
 fn contained_incident_exits_zero_without_strict() {
     let src = write_temp("inject.c", GOOD);
