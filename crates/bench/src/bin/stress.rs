@@ -416,19 +416,24 @@ fn cache_run(
 }
 
 /// Damages a populated cache directory in place: one random bit flip in
-/// one top-level `*.json` file and a random truncation of another (the
-/// same file when only one exists). `FORMAT`, the `*.key` pointers and
-/// the quarantine subdirectory are left alone, so every damaged file is
-/// one the warm run will actually read and must detect.
+/// one top-level cache file (a `*.bin` entry or a `*.json` manifest) and
+/// a random truncation of one entry (the same file when it is the only
+/// one). `FORMAT`, the `*.key` pointers and the quarantine subdirectory
+/// are left alone, so every damaged file is one the warm run will
+/// actually read and must detect — and every scenario damages an entry.
 fn corrupt_cache_dir(dir: &Path, rng: &mut progen::Rng) -> Result<(), String> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("read_dir {}: {e}", dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
+        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json" || x == "bin"))
         .collect();
     files.sort();
-    if files.is_empty() {
-        return Err("populated cache dir has no *.json entries to corrupt".to_string());
+    let entries: Vec<&PathBuf> = files
+        .iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+        .collect();
+    if entries.is_empty() {
+        return Err("populated cache dir has no *.bin entries to corrupt".to_string());
     }
 
     // bit flip
@@ -443,7 +448,7 @@ fn corrupt_cache_dir(dir: &Path, rng: &mut progen::Rng) -> Result<(), String> {
     std::fs::write(victim, &bytes).map_err(|e| format!("write {}: {e}", victim.display()))?;
 
     // truncation
-    let victim = &files[rng.below(files.len() as u64) as usize];
+    let victim = entries[rng.below(entries.len() as u64) as usize];
     let bytes = std::fs::read(victim).map_err(|e| format!("read {}: {e}", victim.display()))?;
     let keep = rng.below(bytes.len().max(1) as u64) as usize;
     std::fs::write(victim, &bytes[..keep.min(bytes.len())])
@@ -534,6 +539,9 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut CacheTotals) -> Result<(
             return Err(
                 "on-disk corruption went undetected (corrupt counter stayed zero)".to_string(),
             );
+        }
+        if damaged.stats.misses == 0 {
+            return Err("a truncated entry was served as a hit".to_string());
         }
 
         // phase 4: two sessions racing into one fresh directory, then a

@@ -61,18 +61,22 @@ fn compile(src: &str, dir: Option<&PathBuf>) -> SessionCompilation {
     compile_session(&files, &Options::o2(), dir.map(|d| d.as_path())).expect("progen compiles")
 }
 
-/// Flips one random bit in, and truncates, the top-level `*.json` files
-/// of a populated cache directory (sparing `FORMAT`, the `*.key`
-/// pointers and the quarantine subdirectory, which a warm run never
-/// reads).
+/// Flips one random bit in one top-level cache file (a `*.bin` entry or
+/// a `*.json` manifest) and truncates one entry, sparing `FORMAT`, the
+/// `*.key` pointers and the quarantine subdirectory, which a warm run
+/// never reads. Every call damages at least one entry.
 fn corrupt(dir: &PathBuf, rng: &mut progen::Rng) {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("cache dir")
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
+        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json" || x == "bin"))
         .collect();
     files.sort();
-    assert!(!files.is_empty(), "populated dir must hold *.json files");
+    let entries: Vec<&PathBuf> = files
+        .iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+        .collect();
+    assert!(!entries.is_empty(), "populated dir must hold *.bin entries");
 
     let victim = &files[rng.below(files.len() as u64) as usize];
     let mut bytes = std::fs::read(victim).expect("read victim");
@@ -84,7 +88,7 @@ fn corrupt(dir: &PathBuf, rng: &mut progen::Rng) {
     }
     std::fs::write(victim, &bytes).expect("write victim");
 
-    let victim = &files[rng.below(files.len() as u64) as usize];
+    let victim = entries[rng.below(entries.len() as u64) as usize];
     let bytes = std::fs::read(victim).expect("read victim");
     let keep = rng.below(bytes.len().max(1) as u64) as usize;
     std::fs::write(victim, &bytes[..keep.min(bytes.len())]).expect("truncate victim");
@@ -121,6 +125,10 @@ fn random_corruption_never_escapes_into_the_output() {
         assert!(
             damaged.stats.corrupt > 0,
             "seed {seed}: damage must be detected, not silently missed"
+        );
+        assert!(
+            damaged.stats.misses > 0,
+            "seed {seed}: the truncated entry must miss"
         );
         assert_eq!(
             damaged.stats.corrupt, damaged.stats.quarantined,

@@ -33,9 +33,10 @@
 //! ## Shared cache semantics
 //!
 //! All requests compile through one [`ResidentCache`]: an in-memory map
-//! of unsealed cache entries that write through to the daemon's
-//! `--cache-dir` (when it has one), so one-shot `titanc --cache-dir`
-//! invocations and the daemon interoperate on the same directory. The
+//! of checksum-verified cache payloads, shared as bytes, that writes
+//! through to the daemon's `--cache-dir` (when it has one), so one-shot
+//! `titanc --cache-dir` invocations and the daemon interoperate on the
+//! same directory. The
 //! per-request pipeline still fans procedures across its own `-j`
 //! worker pool; the daemon's pool (its own `-j`) batches independent
 //! *requests*. Analysis caches stay per-request — they are keyed by

@@ -20,8 +20,9 @@
 //! With `--cache-dir DIR`, each procedure's fully optimized IL is keyed
 //! by a stable 128-bit content hash ([`titanc_il::StableHash`]) of:
 //!
-//! * the parsed procedure's catalog encoding (names, types, statement
-//!   tree, spans — everything the optimizer sees),
+//! * the parsed procedure's arena encoding ([`titanc_il::write_proc`]:
+//!   names, types, both arena columns, spans — everything the optimizer
+//!   sees),
 //! * the shared program environment (globals, struct table, file
 //!   table), hashed once and folded into **every** key,
 //! * an [`Options`] fingerprint (every knob that can change generated
@@ -36,8 +37,10 @@
 //!   cones contain it, never the whole program. `--no-inline` sessions
 //!   key each procedure on its own encoding alone.
 //!
-//! A cache entry stores the post-pipeline IL *plus* the per-pass
-//! [`RecordedCell`]s — the statistics deltas, changed flags, and
+//! A cache entry (`<key>.bin`) stores the post-pipeline IL in the same
+//! byte layout the keys hash, compacted to what the body reaches
+//! ([`titanc_il::encode_proc`]), *plus* the per-pass [`RecordedCell`]s
+//! as JSON text — the statistics deltas, changed flags, and
 //! analysis-cache counters of the original execution. On a warm run the
 //! pass manager substitutes the cached IL and replays the cells through
 //! its normal pass-major merge ([`Pipeline::run_session`]), so reports,
@@ -49,6 +52,9 @@
 //! When every procedure hits *and* a session manifest matches, the
 //! pipeline is skipped entirely — zero passes execute; the program,
 //! aggregate reports and trace records are reconstructed from the cache.
+//! Such a run parses only the manifest as JSON: each entry's procedure is
+//! read straight from its bytes ([`titanc_il::read_proc`]) and its
+//! recorded cells, which nothing replays, are never decoded.
 //!
 //! Each published entry is followed by a *key pointer*: a small file,
 //! named by a hash of the procedure name, holding the key just
@@ -72,7 +78,7 @@ use std::time::Duration;
 
 use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
-use titanc_il::json::{FromJson, ToJson};
+use titanc_il::json::{FromJson, Json, ToJson};
 use titanc_il::{
     Catalog, Procedure, Program, StableHash, StableHasher, StructDef, StructId, Type, VarInfo,
 };
@@ -85,8 +91,9 @@ use crate::store::{CacheStore, ResidentCache, CACHE_FORMAT};
 use crate::{Compilation, CompileError, Options, Pipeline, Reports};
 
 /// Bumped when the entry or manifest encoding changes shape; entries
-/// written by other versions are treated as misses.
-const ENTRY_VERSION: i64 = 1;
+/// written by other versions are treated as misses. Version 2 entries
+/// are binary (see [`encode_entry`]).
+const ENTRY_VERSION: i64 = 2;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
@@ -353,26 +360,27 @@ fn run_cached(
         load_full_warm(store, &session_key, program, &hashes, pipeline)
     {
         // a manifest that decodes but fails verification is corrupt:
-        // fall through and compile for real
+        // quarantine it and compile for real
         if !(cfg!(debug_assertions) || options.verify) || verify_program_check(&warm).is_ok() {
             stats.hits = warm.procs.len();
             stats.full_warm = true;
             *program = warm;
             return (reports, trace);
         }
+        store.quarantine(&manifest_name(&session_key));
     }
 
     // cold or partially warm: seed per-procedure hits and run the
     // pipeline; hits replay, misses execute
     let mut replay = SessionReplay::default();
     for (p, h) in program.procs.iter().zip(&hashes) {
-        if let Some((il, cells)) = load_entry(store, h, &p.name) {
+        if let Some((il, cells)) = load_entry(store, h, &p.name, true) {
             replay
                 .hits
                 .insert(p.name.clone(), CachedProc::new(il, cells));
         } else if store
             .read(&pointer_name(&p.name))
-            .is_some_and(|old| old != h.hex())
+            .is_some_and(|old| *old != *h.hex().as_bytes())
         {
             stats.invalidated += 1;
         }
@@ -715,14 +723,36 @@ fn session_hash(
     h.finish()
 }
 
-/// One per-procedure cache entry on disk.
-struct CacheEntry {
-    version: i64,
-    proc: Procedure,
-    cells: Vec<RecordedCell>,
+/// One per-procedure cache entry: `ENTRY_VERSION` (8 bytes, little
+/// endian), the length (8 bytes) of the compacted procedure encoding,
+/// that encoding, then the recorded cells as JSON text.
+fn encode_entry(proc: &Procedure, cells: &[RecordedCell]) -> Vec<u8> {
+    let il = titanc_il::encode_proc(proc);
+    let cells = Json::Arr(cells.iter().map(ToJson::to_json).collect()).to_string_compact();
+    let mut out = Vec::with_capacity(16 + il.len() + cells.len());
+    out.extend_from_slice(&ENTRY_VERSION.to_le_bytes());
+    out.extend_from_slice(&(il.len() as u64).to_le_bytes());
+    out.extend_from_slice(&il);
+    out.extend_from_slice(cells.as_bytes());
+    out
 }
 
-titanc_il::struct_json!(CacheEntry, [version, proc, cells]);
+/// Splits an entry into its procedure section and its cell text. `None`
+/// for another entry version or a length that overruns the payload.
+fn split_entry(payload: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (version, rest) = payload.split_first_chunk::<8>()?;
+    if i64::from_le_bytes(*version) != ENTRY_VERSION {
+        return None;
+    }
+    let (len, rest) = rest.split_first_chunk::<8>()?;
+    let len = usize::try_from(u64::from_le_bytes(*len)).ok()?;
+    (len <= rest.len()).then(|| rest.split_at(len))
+}
+
+fn decode_cells(text: &[u8]) -> Option<Vec<RecordedCell>> {
+    let doc = titanc_il::json::parse(std::str::from_utf8(text).ok()?).ok()?;
+    Vec::from_json(&doc).ok()
+}
 
 /// One aggregate pass record in the session manifest (a serializable
 /// [`PassRecord`] minus the wall-clock duration).
@@ -753,16 +783,16 @@ struct Manifest {
 titanc_il::struct_json!(Manifest, [version, records, globals, structs, files]);
 
 fn entry_name(hash: &StableHash) -> String {
-    format!("{}.json", hash.hex())
+    format!("{}.bin", hash.hex())
 }
 
 fn manifest_name(key: &StableHash) -> String {
     format!("session-{}.json", key.hex())
 }
 
-/// The key pointer of procedure `name`. Named by a hash of the name, and
-/// not `*.json`: a warm run reads only `*.json` files, and format
-/// detection looks only at them.
+/// The key pointer of procedure `name`. Named by a hash of the name, with
+/// its own `.key` extension: a warm run never reads pointers, and format
+/// detection looks only at `*.json` and `*.bin` files.
 fn pointer_name(name: &str) -> String {
     let mut h = StableHasher::new();
     h.write_str(name);
@@ -808,27 +838,33 @@ fn fold_store_stats(store: &CacheStore, stats: &mut SessionStats) {
 
 /// Loads and validates one entry; any failure is a miss. A missing file
 /// is a plain (cold) miss; a file that read but failed its checksum,
-/// decode, version, name, or — crucially — the IL verifier is
-/// quarantined so the bad bytes are never trusted or re-read.
+/// version, decode, name, or — crucially — the IL verifier is
+/// quarantined so the bad bytes are never trusted or re-read. The
+/// recorded cells are decoded only `with_cells`: a fully warm run
+/// replays none, so it leaves them as bytes.
 fn load_entry(
     store: &mut CacheStore,
     hash: &StableHash,
     name: &str,
+    with_cells: bool,
 ) -> Option<(Procedure, Vec<RecordedCell>)> {
     let file = entry_name(hash);
     let payload = store.read(&file)?;
-    let decoded = titanc_il::json::parse(&payload)
-        .ok()
-        .and_then(|doc| CacheEntry::from_json(&doc).ok())
-        .filter(|e| e.version == ENTRY_VERSION && e.proc.name == name)
-        .filter(|e| verify_proc_check(&e.proc).is_ok());
-    match decoded {
-        Some(entry) => Some((entry.proc, entry.cells)),
-        None => {
-            store.quarantine(&file);
-            None
-        }
+    let decoded = split_entry(&payload).and_then(|(il, cells)| {
+        let proc = titanc_il::read_proc(il)
+            .ok()
+            .filter(|p| p.name == name && verify_proc_check(p).is_ok())?;
+        let cells = if with_cells {
+            decode_cells(cells)?
+        } else {
+            Vec::new()
+        };
+        Some((proc, cells))
+    });
+    if decoded.is_none() {
+        store.quarantine(&file);
     }
+    decoded
 }
 
 /// Reconstructs a fully warm compilation: the program from the manifest
@@ -844,8 +880,9 @@ fn load_full_warm(
 ) -> Option<(Program, Reports, PassTrace)> {
     let file = manifest_name(key);
     let payload = store.read(&file)?;
-    let manifest = titanc_il::json::parse(&payload)
+    let manifest = std::str::from_utf8(&payload)
         .ok()
+        .and_then(|text| titanc_il::json::parse(text).ok())
         .and_then(|doc| Manifest::from_json(&doc).ok())
         .filter(|m| m.version == ENTRY_VERSION);
     let Some(manifest) = manifest else {
@@ -878,7 +915,7 @@ fn load_full_warm(
     }
     let mut procs = Vec::with_capacity(program.procs.len());
     for (p, h) in program.procs.iter().zip(hashes) {
-        let (il, _) = load_entry(store, h, &p.name)?;
+        let (il, _) = load_entry(store, h, &p.name, false)?;
         procs.push(il);
     }
     Some((
@@ -925,13 +962,8 @@ fn persist(
         }
         match replay.recorded.get(&p.name) {
             Some(cells) if cells.len() == proc_stages && !replay.uncacheable.contains(&p.name) => {
-                let entry = CacheEntry {
-                    version: ENTRY_VERSION,
-                    proc: p.clone(),
-                    cells: cells.clone(),
-                };
-                if store.publish(&entry_name(h), &entry.to_json().to_string_compact()) {
-                    store.publish(&pointer_name(&p.name), &h.hex());
+                if store.publish(&entry_name(h), &encode_entry(p, cells)) {
+                    store.publish(&pointer_name(&p.name), h.hex().as_bytes());
                 } else {
                     all_cached = false;
                 }
@@ -965,7 +997,7 @@ fn persist(
         };
         store.publish(
             &manifest_name(session_key),
-            &manifest.to_json().to_string_compact(),
+            manifest.to_json().to_string_compact().as_bytes(),
         );
     }
 }

@@ -11,10 +11,12 @@
 //!   the cache directory, fsynced, and renamed into place. Readers
 //!   never observe a half-written entry; a crash mid-write leaves at
 //!   worst an orphaned `.tmp-*` file.
-//! * **Checksummed envelopes.** Every file starts with a one-line
+//! * **Checksummed envelopes.** Every file starts with a one-line ASCII
 //!   header — the format name and a 128-bit FNV-1a digest of the
 //!   payload — so a bit flip, truncation, or encoding skew is detected
-//!   before the payload is parsed, not after it has been trusted.
+//!   before the payload is decoded, not after it has been trusted. The
+//!   payload itself is raw bytes: binary procedure entries and JSON
+//!   manifests travel the same way, and nothing checks it for UTF-8.
 //! * **Quarantine-and-miss.** A file that fails the checksum (or
 //!   decodes to something the IL verifier rejects) is moved into a
 //!   `quarantine/` subdirectory and treated as a miss. The bad bytes
@@ -29,9 +31,10 @@
 //!   sharing one `--cache-dir` therefore need no coordination at all.
 //!
 //! The [`ResidentCache`] layer on top keeps all payloads in one shared
-//! in-memory map for the `titand` compile server: every request's store
-//! reads through it and writes through to the backing directory, so the
-//! daemon and one-shot processes interoperate on the same `--cache-dir`.
+//! in-memory map of shared byte buffers for the `titand` compile server:
+//! every request's store reads through it and writes through to the
+//! backing directory, so the daemon and one-shot processes interoperate
+//! on the same `--cache-dir`.
 //!
 //! The store also hosts the `TITANC_INJECT_IO` fault hook (a sibling of
 //! `TITANC_INJECT_PANIC`): reads, writes, and renames can be made to
@@ -58,8 +61,10 @@ use titanc_il::{StableHash, StableHasher};
 /// v4 when per-procedure keys switched from the whole-program hash to
 /// inline dependency cones and `InlineEvent` gained its site ordinal —
 /// a v3-era directory's marker names another version and is refused
-/// the same way.
-pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v4";
+/// the same way. v5 entries are binary `<key>.bin` files holding the
+/// compacted arena encoding instead of `<key>.json` text; a v4-era
+/// directory is refused like a v3 one.
+pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v5";
 
 /// The directory-level format marker file.
 const MARKER_FILE: &str = "FORMAT";
@@ -295,28 +300,30 @@ fn faulty_rename(from: &Path, to: &Path) -> io::Result<()> {
 // Checksummed envelopes
 // ---------------------------------------------------------------------
 
-/// Wraps a payload in the v3 envelope: a `FORMAT <fnv128-hex>` header
-/// line, then the payload bytes the digest covers.
-fn seal(payload: &str) -> String {
+/// Wraps a payload in the envelope: a `FORMAT <fnv128-hex>` ASCII
+/// header line, then the payload bytes the digest covers.
+fn seal(payload: &[u8]) -> Vec<u8> {
     let mut h = StableHasher::new();
-    h.write(payload.as_bytes());
-    format!("{CACHE_FORMAT} {}\n{payload}", h.finish().hex())
+    h.write(payload);
+    let mut out = format!("{CACHE_FORMAT} {}\n", h.finish().hex()).into_bytes();
+    out.extend_from_slice(payload);
+    out
 }
 
-/// Opens an envelope: checks the format name and the payload digest.
-/// `None` on any mismatch — wrong format, bad header shape, checksum
-/// failure, or non-UTF-8 bytes.
-fn unseal(bytes: &[u8]) -> Option<String> {
-    let text = String::from_utf8(bytes.to_vec()).ok()?;
-    let (header, payload) = text.split_once('\n')?;
-    let (format, digest) = header.split_once(' ')?;
+/// Opens an envelope: checks the format name and the payload digest and
+/// returns the payload, uncopied. `None` on any mismatch — wrong format,
+/// bad header shape or checksum failure.
+fn unseal(bytes: &[u8]) -> Option<&[u8]> {
+    let newline = bytes.iter().position(|&b| b == b'\n')?;
+    let (header, payload) = (&bytes[..newline], &bytes[newline + 1..]);
+    let (format, digest) = std::str::from_utf8(header).ok()?.split_once(' ')?;
     if format != CACHE_FORMAT {
         return None;
     }
     let expected = StableHash::from_hex(digest)?;
     let mut h = StableHasher::new();
-    h.write(payload.as_bytes());
-    (h.finish() == expected).then(|| payload.to_string())
+    h.write(payload);
+    (h.finish() == expected).then_some(payload)
 }
 
 // ---------------------------------------------------------------------
@@ -333,7 +340,13 @@ fn unseal(bytes: &[u8]) -> Option<String> {
 /// `titanc` processes and the daemon interoperate on the same directory.
 /// Payloads enter the map only after passing the envelope checksum (disk
 /// reads) or straight from the compiler (publishes), so map hits skip
-/// the checksum, not the IL verifier.
+/// the checksum, not the decoder or the IL verifier.
+///
+/// The map holds the payload bytes, shared (`Arc<[u8]>`): a hit clones a
+/// pointer under the lock, never the payload. It deliberately does not
+/// hold decoded procedures — a decoded entry takes several times the
+/// heap of its binary encoding, and decoding one costs well under a
+/// millisecond.
 #[derive(Clone, Default)]
 pub struct ResidentCache {
     inner: Arc<ResidentInner>,
@@ -342,7 +355,7 @@ pub struct ResidentCache {
 #[derive(Default)]
 struct ResidentInner {
     dir: Option<PathBuf>,
-    map: Mutex<BTreeMap<String, String>>,
+    map: Mutex<BTreeMap<String, Arc<[u8]>>>,
 }
 
 impl ResidentCache {
@@ -369,17 +382,16 @@ impl ResidentCache {
         self.lock_map().len()
     }
 
-    fn lock_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, String>> {
+    fn lock_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<[u8]>>> {
         self.inner.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, name: &str) -> Option<String> {
+    fn get(&self, name: &str) -> Option<Arc<[u8]>> {
         self.lock_map().get(name).cloned()
     }
 
-    fn put(&self, name: &str, payload: &str) {
-        self.lock_map()
-            .insert(name.to_string(), payload.to_string());
+    fn put(&self, name: &str, payload: Arc<[u8]>) {
+        self.lock_map().insert(name.to_string(), payload);
     }
 
     fn remove(&self, name: &str) {
@@ -522,8 +534,9 @@ impl CacheStore {
         self.first_write_error.as_deref()
     }
 
-    /// Any top-level `*.json` file means the directory holds (pre-v3)
-    /// cache state we must not misread or clobber.
+    /// Any top-level `*.json` or `*.bin` file (an entry or manifest of
+    /// some format) means the directory holds cache state we must not
+    /// misread or clobber.
     fn has_entries(&self) -> bool {
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return true; // unreadable: assume occupied, stay disabled
@@ -531,7 +544,7 @@ impl CacheStore {
         entries.flatten().any(|e| {
             e.file_name()
                 .to_str()
-                .is_some_and(|name| name.ends_with(".json"))
+                .is_some_and(|name| name.ends_with(".json") || name.ends_with(".bin"))
         })
     }
 
@@ -541,7 +554,7 @@ impl CacheStore {
     /// read wasn't) is a plain miss; an envelope that fails the format
     /// or checksum is quarantined and counted. Disk hits populate the
     /// resident map so the next request never touches the file.
-    pub(crate) fn read(&mut self, name: &str) -> Option<String> {
+    pub(crate) fn read(&mut self, name: &str) -> Option<Arc<[u8]>> {
         if !self.enabled {
             return None;
         }
@@ -556,8 +569,9 @@ impl CacheStore {
         let bytes = faulty_read(&self.dir.join(name)).ok()?;
         match unseal(&bytes) {
             Some(payload) => {
+                let payload: Arc<[u8]> = Arc::from(payload);
                 if let Some(resident) = &self.resident {
-                    resident.put(name, &payload);
+                    resident.put(name, Arc::clone(&payload));
                 }
                 Some(payload)
             }
@@ -576,14 +590,14 @@ impl CacheStore {
     /// layer the payload also lands in the shared map — but only after
     /// the disk accepted it, so memory and disk never disagree about
     /// what was published.
-    pub(crate) fn publish(&mut self, name: &str, payload: &str) -> bool {
+    pub(crate) fn publish(&mut self, name: &str, payload: &[u8]) -> bool {
         if !self.enabled {
             return false;
         }
-        let ok = !self.disk || self.publish_raw(name, seal(payload).as_bytes());
+        let ok = !self.disk || self.publish_raw(name, &seal(payload));
         if ok {
             if let Some(resident) = &self.resident {
-                resident.put(name, payload);
+                resident.put(name, Arc::from(payload));
             }
         }
         ok
@@ -658,24 +672,30 @@ mod tests {
 
     #[test]
     fn seal_round_trips_and_detects_damage() {
-        let payload = r#"{"version":1,"data":[1,2,3]}"#;
+        let payload = br#"{"version":1,"data":[1,2,3]}"#;
         let sealed = seal(payload);
-        assert_eq!(unseal(sealed.as_bytes()).as_deref(), Some(payload));
+        assert_eq!(unseal(&sealed), Some(&payload[..]));
+
+        // binary payloads (newlines and non-UTF-8 bytes included) travel
+        // unchanged: only the header is text
+        let binary = [0u8, b'\n', 0xFF, 0xFE, b'\n', 7];
+        assert_eq!(unseal(&seal(&binary)), Some(&binary[..]));
 
         // flip one payload byte
-        let mut bytes = sealed.clone().into_bytes();
+        let mut bytes = sealed.clone();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x55;
         assert_eq!(unseal(&bytes), None);
 
         // truncate mid-payload
-        assert_eq!(unseal(&sealed.as_bytes()[..sealed.len() / 2]), None);
+        assert_eq!(unseal(&sealed[..sealed.len() / 2]), None);
 
         // wrong format name
-        let skewed = sealed.replace(CACHE_FORMAT, "titanc-cache-v2");
+        let text = String::from_utf8(sealed.clone()).unwrap();
+        let skewed = text.replace(CACHE_FORMAT, "titanc-cache-v2");
         assert_eq!(unseal(skewed.as_bytes()), None);
 
-        // not UTF-8 at all
+        // a header that is not UTF-8 at all
         assert_eq!(unseal(&[0xFF, 0xFE, b'\n', b'x']), None);
         // empty and header-only
         assert_eq!(unseal(b""), None);
@@ -706,8 +726,8 @@ mod tests {
         let dir = scratch("roundtrip");
         let mut store = CacheStore::open(&dir);
         assert!(store.enabled(), "fresh directory must adopt the format");
-        assert!(store.publish("entry.json", "{\"k\":1}"));
-        assert_eq!(store.read("entry.json").as_deref(), Some("{\"k\":1}"));
+        assert!(store.publish("entry.bin", b"{\"k\":1}"));
+        assert_eq!(store.read("entry.bin").as_deref(), Some(&b"{\"k\":1}"[..]));
         assert_eq!(store.stats, StoreStats::default());
         // no temp litter after a clean publish
         let litter = fs::read_dir(&dir)
@@ -723,15 +743,15 @@ mod tests {
     fn corrupt_files_are_quarantined_and_miss() {
         let dir = scratch("quarantine");
         let mut store = CacheStore::open(&dir);
-        assert!(store.publish("entry.json", "payload"));
+        assert!(store.publish("entry.bin", b"payload"));
         // flip a byte on disk
-        let path = dir.join("entry.json");
+        let path = dir.join("entry.bin");
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
 
-        assert_eq!(store.read("entry.json"), None);
+        assert_eq!(store.read("entry.bin"), None);
         assert_eq!(store.stats.corrupt, 1);
         assert_eq!(store.stats.quarantined, 1);
         assert!(!path.exists(), "the corrupt file must be moved aside");
@@ -740,7 +760,7 @@ mod tests {
             "the bad bytes are preserved in quarantine/"
         );
         // a second read is a plain miss, not a second quarantine
-        assert_eq!(store.read("entry.json"), None);
+        assert_eq!(store.read("entry.bin"), None);
         assert_eq!(store.stats.corrupt, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -755,7 +775,10 @@ mod tests {
         assert!(!store.enabled());
         assert!(store.format_warning().is_some());
         assert_eq!(store.read("0123abcd.json"), None, "disabled stores miss");
-        assert!(!store.publish("x.json", "y"), "disabled stores skip writes");
+        assert!(
+            !store.publish("x.json", b"y"),
+            "disabled stores skip writes"
+        );
         assert_eq!(store.stats, StoreStats::default());
         assert!(
             dir.join("0123abcd.json").exists(),
@@ -773,36 +796,59 @@ mod tests {
         let _ = fs::remove_dir_all(&dir2);
     }
 
+    /// A marker-less directory holding only binary entries is cache state
+    /// of some format: refused, never adopted.
+    #[test]
+    fn a_markerless_directory_of_binary_entries_is_refused() {
+        let dir = scratch("bin-only");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("0123abcd.bin"), [0u8, 1, 2]).unwrap();
+        let mut store = CacheStore::open(&dir);
+        assert!(!store.enabled());
+        assert!(store.format_warning().unwrap().contains("predates"));
+        assert_eq!(store.read("0123abcd.bin"), None);
+        assert!(!dir.join(MARKER_FILE).exists(), "never adopted");
+        assert_eq!(fs::read(dir.join("0123abcd.bin")).unwrap(), [0, 1, 2]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn resident_layer_serves_hits_without_disk_and_writes_through() {
         let dir = scratch("resident");
         let resident = ResidentCache::new(Some(&dir));
         let mut store = CacheStore::open_resident(&resident);
         assert!(store.enabled());
-        assert!(store.publish("entry.json", "payload"));
+        assert!(store.publish("entry.bin", b"payload"));
         assert_eq!(resident.entries(), 1);
 
         // write-through: a plain (non-resident) store sees the entry…
         let mut oneshot = CacheStore::open(&dir);
-        assert_eq!(oneshot.read("entry.json").as_deref(), Some("payload"));
+        assert_eq!(oneshot.read("entry.bin").as_deref(), Some(&b"payload"[..]));
 
         // …and the resident map survives disk loss (hits come from memory)
-        fs::remove_file(dir.join("entry.json")).unwrap();
+        fs::remove_file(dir.join("entry.bin")).unwrap();
         let mut second = CacheStore::open_resident(&resident);
-        assert_eq!(second.read("entry.json").as_deref(), Some("payload"));
+        let hit = second.read("entry.bin").expect("resident hit");
+        assert_eq!(&*hit, b"payload");
+        // hits share the resident buffer instead of copying it
+        let again = second.read("entry.bin").expect("resident hit");
+        assert!(Arc::ptr_eq(&hit, &again));
 
         // a disk entry published by a one-shot process is adopted into
         // the map on first read
-        assert!(oneshot.publish("other.json", "from-oneshot"));
-        assert_eq!(second.read("other.json").as_deref(), Some("from-oneshot"));
+        assert!(oneshot.publish("other.bin", b"from-oneshot"));
+        assert_eq!(
+            second.read("other.bin").as_deref(),
+            Some(&b"from-oneshot"[..])
+        );
         assert_eq!(resident.entries(), 2);
 
         // a pure in-memory cache needs no directory at all
         let mem = ResidentCache::new(None);
         let mut memstore = CacheStore::open_resident(&mem);
         assert!(memstore.enabled());
-        assert!(memstore.publish("x.json", "y"));
-        assert_eq!(memstore.read("x.json").as_deref(), Some("y"));
+        assert!(memstore.publish("x.bin", b"y"));
+        assert_eq!(memstore.read("x.bin").as_deref(), Some(&b"y"[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -366,6 +366,15 @@ impl ExprPool {
         self.total_allocated = n;
     }
 
+    /// A pool holding exactly these nodes, each counted as one allocation
+    /// (the decoder builds arenas this way).
+    pub(crate) fn from_nodes(nodes: Vec<Expr>) -> ExprPool {
+        ExprPool {
+            total_allocated: nodes.len() as u64,
+            nodes,
+        }
+    }
+
     /// Pre-sizes the arena for a batch of allocations.
     pub fn reserve(&mut self, additional: usize) {
         self.nodes.reserve(additional);

@@ -4,9 +4,10 @@
 //! content hash of its parsed encoding plus the option/pipeline
 //! fingerprints. The hash must be stable across runs, platforms and
 //! compiler versions of `titanc` itself — so it is defined over the
-//! canonical JSON encoding bytes (which `encode.rs` keeps deterministic)
-//! with a fixed algorithm, rather than over `std::hash` (whose output is
-//! explicitly unspecified and seeded per-process for `HashMap`).
+//! canonical arena byte layout of [`crate::codec`] (the layout cache
+//! entries store) with a fixed algorithm, rather than over
+//! `std::hash` (whose output is explicitly unspecified and seeded
+//! per-process for `HashMap`).
 //!
 //! The algorithm is 128-bit FNV-1a: dependency-free, endian-independent
 //! (it consumes bytes), and wide enough that accidental collisions
@@ -20,14 +21,13 @@
 //! so the digest is identical across clones, job counts, and cold/warm
 //! cache runs, while costing a fraction of a JSON encode.
 
-use crate::expr::{Expr, LValue};
-use crate::program::{ConstInit, Procedure, Storage, VarInfo};
-use crate::stmt::StmtKind;
-use crate::types::Type;
+use crate::codec::write_proc;
+use crate::program::Procedure;
 use std::fmt;
 
-/// Version seed folded into every [`hash_proc`] digest; bump when the
-/// byte layout below changes so stale cache keys can never alias.
+/// Version seed folded into every [`hash_proc`] digest (and the first
+/// word of every stored encoding); bump when the byte layout in
+/// [`crate::codec`] changes so stale cache keys can never alias.
 pub const IL_HASH_VERSION: u32 = 1;
 
 /// 128-bit FNV-1a offset basis.
@@ -108,7 +108,8 @@ impl fmt::Display for StableHash {
     }
 }
 
-/// Content-hashes a procedure over its flat arenas.
+/// Content-hashes a procedure over its flat arenas: FNV over the bytes
+/// [`write_proc`] writes.
 ///
 /// The digest covers everything [`crate::Procedure`]'s structural equality
 /// covers — signature, variable table, body ids, both arena columns with
@@ -121,279 +122,11 @@ pub fn hash_proc(proc: &Procedure) -> StableHash {
     h.finish()
 }
 
-/// Feeds a procedure's canonical bytes into an existing hasher (for
-/// program-wide keys that fold several procedures).
-pub fn write_proc(h: &mut StableHasher, proc: &Procedure) {
-    h.write(&IL_HASH_VERSION.to_le_bytes());
-    h.write_str(&proc.name);
-    write_type(h, &proc.ret);
-    h.write(&(proc.params.len() as u32).to_le_bytes());
-    for p in &proc.params {
-        h.write(&p.0.to_le_bytes());
-    }
-    h.write(&(proc.vars.len() as u32).to_le_bytes());
-    for v in &proc.vars {
-        write_var_info(h, v);
-    }
-    h.write(&proc.num_labels.to_le_bytes());
-    h.write(&proc.next_temp.to_le_bytes());
-    h.write(&(proc.body.len() as u32).to_le_bytes());
-    for s in &proc.body {
-        h.write(&s.0.to_le_bytes());
-    }
-    // statement column: kinds and spans, one linear sweep
-    h.write(&(proc.stmts.len() as u32).to_le_bytes());
-    for kind in proc.stmts.kinds() {
-        write_stmt_kind(h, kind);
-    }
-    for span in proc.stmts.spans() {
-        h.write(&span.line.to_le_bytes());
-        h.write(&span.col.to_le_bytes());
-        h.write(&span.file.to_le_bytes());
-    }
-    // expression column: one linear sweep, no recursion
-    h.write(&(proc.exprs.len() as u32).to_le_bytes());
-    for node in proc.exprs.nodes() {
-        write_expr_node(h, node);
-    }
-}
-
-fn write_type(h: &mut StableHasher, ty: &Type) {
-    match ty {
-        Type::Void => h.write(&[0]),
-        Type::Char => h.write(&[1]),
-        Type::Int => h.write(&[2]),
-        Type::Float => h.write(&[3]),
-        Type::Double => h.write(&[4]),
-        Type::Ptr(inner) => {
-            h.write(&[5]);
-            write_type(h, inner);
-        }
-        Type::Array(elem, n) => {
-            h.write(&[6]);
-            h.write(&(*n as u64).to_le_bytes());
-            write_type(h, elem);
-        }
-        Type::Struct(sid) => {
-            h.write(&[7]);
-            h.write(&sid.0.to_le_bytes());
-        }
-    }
-}
-
-fn write_var_info(h: &mut StableHasher, v: &VarInfo) {
-    h.write_str(&v.name);
-    write_type(h, &v.ty);
-    h.write(&[
-        match v.storage {
-            Storage::Auto => 0,
-            Storage::Param => 1,
-            Storage::Temp => 2,
-            Storage::Static => 3,
-            Storage::Global => 4,
-        },
-        u8::from(v.volatile),
-        u8::from(v.addressed),
-    ]);
-    match &v.init {
-        None => h.write(&[0]),
-        Some(ConstInit::Int(i)) => {
-            h.write(&[1]);
-            h.write(&i.to_le_bytes());
-        }
-        Some(ConstInit::Float(f)) => {
-            h.write(&[2]);
-            h.write(&f.to_bits().to_le_bytes());
-        }
-    }
-}
-
-fn write_expr_node(h: &mut StableHasher, e: &Expr) {
-    match *e {
-        Expr::IntConst(v) => {
-            h.write(&[0]);
-            h.write(&v.to_le_bytes());
-        }
-        Expr::FloatConst(v, ty) => {
-            h.write(&[1, ty as u8]);
-            h.write(&v.to_bits().to_le_bytes());
-        }
-        Expr::Var(v) => {
-            h.write(&[2]);
-            h.write(&v.0.to_le_bytes());
-        }
-        Expr::AddrOf(v) => {
-            h.write(&[3]);
-            h.write(&v.0.to_le_bytes());
-        }
-        Expr::Load { addr, ty, volatile } => {
-            h.write(&[4, ty as u8, u8::from(volatile)]);
-            h.write(&addr.0.to_le_bytes());
-        }
-        Expr::Unary { op, ty, arg } => {
-            h.write(&[5, op as u8, ty as u8]);
-            h.write(&arg.0.to_le_bytes());
-        }
-        Expr::Binary { op, ty, lhs, rhs } => {
-            h.write(&[6, op as u8, ty as u8]);
-            h.write(&lhs.0.to_le_bytes());
-            h.write(&rhs.0.to_le_bytes());
-        }
-        Expr::Cast { to, from, arg } => {
-            h.write(&[7, to as u8, from as u8]);
-            h.write(&arg.0.to_le_bytes());
-        }
-        Expr::Section {
-            base,
-            len,
-            stride,
-            ty,
-        } => {
-            h.write(&[8, ty as u8]);
-            h.write(&base.0.to_le_bytes());
-            h.write(&len.0.to_le_bytes());
-            h.write(&stride.0.to_le_bytes());
-        }
-    }
-}
-
-fn write_lvalue(h: &mut StableHasher, lv: &LValue) {
-    match *lv {
-        LValue::Var(v) => {
-            h.write(&[0]);
-            h.write(&v.0.to_le_bytes());
-        }
-        LValue::Deref { addr, ty, volatile } => {
-            h.write(&[1, ty as u8, u8::from(volatile)]);
-            h.write(&addr.0.to_le_bytes());
-        }
-        LValue::Section {
-            base,
-            len,
-            stride,
-            ty,
-        } => {
-            h.write(&[2, ty as u8]);
-            h.write(&base.0.to_le_bytes());
-            h.write(&len.0.to_le_bytes());
-            h.write(&stride.0.to_le_bytes());
-        }
-    }
-}
-
-fn write_block(h: &mut StableHasher, block: &[crate::ids::StmtId]) {
-    h.write(&(block.len() as u32).to_le_bytes());
-    for s in block {
-        h.write(&s.0.to_le_bytes());
-    }
-}
-
-fn write_stmt_kind(h: &mut StableHasher, kind: &StmtKind) {
-    match kind {
-        StmtKind::Assign { lhs, rhs } => {
-            h.write(&[0]);
-            write_lvalue(h, lhs);
-            h.write(&rhs.0.to_le_bytes());
-        }
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            h.write(&[1]);
-            h.write(&cond.0.to_le_bytes());
-            write_block(h, then_blk);
-            write_block(h, else_blk);
-        }
-        StmtKind::While { cond, body, safe } => {
-            h.write(&[2, u8::from(*safe)]);
-            h.write(&cond.0.to_le_bytes());
-            write_block(h, body);
-        }
-        StmtKind::DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            safe,
-        } => {
-            h.write(&[3, u8::from(*safe)]);
-            h.write(&var.0.to_le_bytes());
-            h.write(&lo.0.to_le_bytes());
-            h.write(&hi.0.to_le_bytes());
-            h.write(&step.0.to_le_bytes());
-            write_block(h, body);
-        }
-        StmtKind::DoParallel {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-        } => {
-            h.write(&[4]);
-            h.write(&var.0.to_le_bytes());
-            h.write(&lo.0.to_le_bytes());
-            h.write(&hi.0.to_le_bytes());
-            h.write(&step.0.to_le_bytes());
-            write_block(h, body);
-        }
-        StmtKind::WhileSpread {
-            cond,
-            parallel,
-            serial,
-        } => {
-            h.write(&[5]);
-            h.write(&cond.0.to_le_bytes());
-            write_block(h, parallel);
-            write_block(h, serial);
-        }
-        StmtKind::Label(l) => {
-            h.write(&[6]);
-            h.write(&l.0.to_le_bytes());
-        }
-        StmtKind::Goto(l) => {
-            h.write(&[7]);
-            h.write(&l.0.to_le_bytes());
-        }
-        StmtKind::IfGoto { cond, target } => {
-            h.write(&[8]);
-            h.write(&cond.0.to_le_bytes());
-            h.write(&target.0.to_le_bytes());
-        }
-        StmtKind::Call { dst, callee, args } => {
-            h.write(&[9]);
-            match dst {
-                None => h.write(&[0]),
-                Some(d) => {
-                    h.write(&[1]);
-                    write_lvalue(h, d);
-                }
-            }
-            h.write_str(callee);
-            h.write(&(args.len() as u32).to_le_bytes());
-            for a in args {
-                h.write(&a.0.to_le_bytes());
-            }
-        }
-        StmtKind::Return(e) => {
-            h.write(&[10]);
-            match e {
-                None => h.write(&[0]),
-                Some(e) => {
-                    h.write(&[1]);
-                    h.write(&e.0.to_le_bytes());
-                }
-            }
-        }
-        StmtKind::Nop => h.write(&[11]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
+    use crate::types::Type;
 
     #[test]
     fn known_vectors() {

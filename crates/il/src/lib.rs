@@ -68,6 +68,7 @@
 
 pub mod builder;
 pub mod catalog;
+pub mod codec;
 pub mod encode;
 pub mod expr;
 pub mod fold;
@@ -85,9 +86,10 @@ pub mod visit;
 
 pub use builder::{BlockBuilder, ProcBuilder};
 pub use catalog::{Catalog, LinkReport};
+pub use codec::{compact, encode_proc, read_proc, write_proc, ByteSink, CodecError};
 pub use expr::{BinOp, Expr, ExprPool, LValue, UnOp};
 pub use fold::{fold_expr, Value};
-pub use hash::{hash_proc, write_proc, StableHash, StableHasher};
+pub use hash::{hash_proc, StableHash, StableHasher};
 pub use ids::{ExprId, LabelId, ProcId, StmtId, StructId, VarId};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pretty::{pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, pretty_proc};

@@ -341,6 +341,17 @@ impl StmtPool {
         self.total_allocated = n;
     }
 
+    /// A pool holding exactly these columns, each slot counted as one
+    /// allocation (the decoder builds arenas this way).
+    pub(crate) fn from_columns(kinds: Vec<StmtKind>, spans: Vec<SrcSpan>) -> StmtPool {
+        debug_assert_eq!(kinds.len(), spans.len());
+        StmtPool {
+            total_allocated: kinds.len() as u64,
+            kinds,
+            spans,
+        }
+    }
+
     /// Arena size in bytes (kind and span columns).
     pub fn bytes(&self) -> usize {
         self.kinds.len() * std::mem::size_of::<StmtKind>()

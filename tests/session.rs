@@ -498,6 +498,69 @@ fn v3_era_cache_dirs_fall_back_cold_with_one_remark() {
     assert!(dir.join("0123abcd.json").exists(), "old entries untouched");
 }
 
+/// A directory written by the v4 format — JSON `<key>.json` entries —
+/// carries a marker naming the old version and is refused the same way:
+/// one remark, cold compile, and every foreign file left byte for byte.
+#[test]
+fn v4_era_cache_dirs_fall_back_cold_with_one_remark() {
+    let dir = cache_dir("v4-era");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let seeded = [
+        ("FORMAT", "titanc-cache-v4\n"),
+        ("0123abcd.json", "titanc-cache-v4 00ff\n{\"version\":1}"),
+        ("session-4567.json", "titanc-cache-v4 00ff\n{\"version\":1}"),
+        ("89ab.key", "titanc-cache-v4 00ff\n0123abcd"),
+    ];
+    for (name, text) in seeded {
+        std::fs::write(dir.join(name), text).expect("seed v4 file");
+    }
+
+    let files = [corpus("daxpy.c"), corpus("blaslib.c")];
+    let reference = compile_session(&files, &Options::o2(), None).expect("reference compile");
+    let sc = compile_session(&files, &Options::o2(), Some(&dir)).expect("v4 dir must not error");
+
+    assert_eq!(sc.stats.hits, 0, "a refused directory cannot serve hits");
+    assert!(!sc.stats.full_warm);
+    assert_eq!(il_text(&reference), il_text(&sc));
+    assert_eq!(opt_report_json(&reference), opt_report_json(&sc));
+
+    let remarks: Vec<_> = sc
+        .compilation
+        .diagnostics
+        .iter()
+        .filter(|d| d.message.contains("titanc-cache-v4"))
+        .collect();
+    assert_eq!(
+        remarks.len(),
+        1,
+        "exactly one format-skew remark: {:?}",
+        sc.compilation
+            .diagnostics
+            .iter()
+            .map(|d| &d.message)
+            .collect::<Vec<_>>()
+    );
+
+    for (name, text) in seeded {
+        assert_eq!(
+            std::fs::read_to_string(dir.join(name)).expect("foreign file survives"),
+            text,
+            "`{name}` must be left untouched"
+        );
+    }
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(
+        left,
+        ["0123abcd.json", "89ab.key", "FORMAT", "session-4567.json"],
+        "nothing written, nothing quarantined"
+    );
+}
+
 /// `keep_parsed` snapshots the program before any pass runs — the §7
 /// catalog payload.
 #[test]
